@@ -777,7 +777,7 @@ fn main() {
 
     // ---- reader-flood lane (--readers N / INFINE_BENCH_READERS=N) ----
     //
-    // N threads hammer the wait-free read path (`CoverReader::current`)
+    // N threads hammer the published-cover read path (`CoverReader::current`)
     // while the service churns through the same seeded stream used
     // uncontended as the baseline. Reported: total reads, read
     // throughput per thread, the worst round lag any reader observed,
@@ -879,7 +879,7 @@ fn main() {
                 .num("reads_per_sec", reads_per_sec)
                 .int("worst_lag", worst_lag as i64),
         );
-        println!("# readers (wait-free cover reads under churn):");
+        println!("# readers (published cover reads under churn):");
         println!("{}", read_table.render());
     }
 

@@ -188,7 +188,7 @@ pub fn bench_shards() -> usize {
 /// `--overload` enables the overload lane — ingest throughput under
 /// each admission policy (equivalent to `INFINE_BENCH_OVERLOAD=1`, see
 /// [`bench_overload`]); `--readers N` enables the reader-flood lane —
-/// N wait-free [`CoverReader`](infine_incremental::CoverReader) threads
+/// N [`CoverReader`](infine_incremental::CoverReader) threads
 /// hammering `current()` while the service churns (equivalent to
 /// `INFINE_BENCH_READERS=N`, see [`bench_readers`]).
 ///
@@ -281,7 +281,7 @@ pub fn bench_view_mode() -> bool {
 
 /// Reader-flood lane thread count set by `--readers N` or
 /// `INFINE_BENCH_READERS=N` (0 = lane disabled): the incremental bench
-/// adds a lane where N threads hammer wait-free `CoverReader::current()`
+/// adds a lane where N threads hammer `CoverReader::current()`
 /// while the service churns, and reports read throughput and round lag.
 static READERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 

@@ -710,18 +710,6 @@ impl MaintenanceEngine {
         self.cover.clone()
     }
 
-    /// A publishable read snapshot as of `round` — unsharded parity with
-    /// [`ShardedEngine::published_covers`](crate::ShardedEngine::published_covers).
-    pub fn published_covers(&mut self, round: u64) -> crate::read::PublishedCovers {
-        crate::read::PublishedCovers {
-            round,
-            base: self.base_covers(),
-            cover: self.fd_set(),
-            triples: self.report.triples.clone(),
-            tombstones: self.tombstone_stats(),
-        }
-    }
-
     /// Re-derive exact provenance triples for the current database by
     /// replaying the pipeline with the maintained base FD sets (base
     /// mining skipped — except for tables whose per-table state went

@@ -57,8 +57,9 @@
 //! [`MaintenanceService`] wraps it in a channel-driven loop — deltas in,
 //! reports out, per-table batch coalescing between rounds — so producers
 //! never block on maintenance. [`MaintenanceService::reader`] hands out
-//! wait-free [`CoverReader`] handles onto the latest published cover
-//! snapshot, so read-side clients never queue behind ingest either.
+//! [`CoverReader`] handles onto the latest published cover snapshot, so
+//! read-side clients never queue behind ingest either; a report for
+//! round N means round N is readable.
 
 pub mod cover;
 pub mod engine;

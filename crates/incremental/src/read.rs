@@ -1,57 +1,22 @@
-//! Wait-free published cover reads (MVCC-lite).
+//! Published cover reads (MVCC-lite).
 //!
-//! The service loop is a single-writer pipeline: one worker thread
-//! drains deltas and maintains the cover. Reads used to flow through the
-//! same channel (flush → wait for a report), so a burst of readers
-//! queued behind maintenance. This module splits the read path off
-//! entirely: after every round the worker publishes an immutable
-//! [`Arc<PublishedCovers>`] snapshot into a [`CoverCell`], and any
-//! number of [`CoverReader`] handles get the latest snapshot —
-//! consistent as of its round — without locks and without touching the
+//! The service worker is the single writer: after every round it
+//! publishes an immutable [`Arc<PublishedCovers>`] snapshot into a
+//! [`CoverCell`], and any number of [`CoverReader`] handles get the
+//! latest snapshot — consistent as of its round — without touching the
 //! ingest queue, while the next round is still being computed.
 //!
-//! ## How the cell works
-//!
-//! The cell is a dependency-free `arc-swap`: an `AtomicPtr` holding one
-//! strong count of the current snapshot, swapped wholesale by the single
-//! writer. The races to solve is reclamation — a reader that loaded the
-//! pointer but has not yet bumped the refcount must not see the writer
-//! free it. Readers therefore publish the pointer they are about to
-//! touch in a per-handle *hazard slot* and re-check that it is still
-//! current before taking a reference:
-//!
-//! ```text
-//! reader: p = load(current); slot = p; if load(current) == p { ref++ }
-//! writer: swap(current, new); for r in retired: free r unless hazarded
-//! ```
-//!
-//! All four accesses are `SeqCst`, so if the reader's re-check still
-//! sees `p`, its hazard store is ordered before the swap that retires
-//! `p` — and the writer's scan (which runs after the swap) must see the
-//! hazard and keep `p` for a later pass. Address reuse (ABA) is benign:
-//! the re-check only asks "is this pointer the currently published
-//! snapshot", and whatever object lives at that address then *is* the
-//! current snapshot.
-//!
-//! [`CoverReader::current`] takes no locks: the hazard slot is
-//! registered once per handle (at [`MaintenanceService::reader`] /
-//! `clone` time), and the read itself is load → store → load → refcount
-//! bump. It retries only if a publish landed between its two loads, so
-//! it is wait-free whenever the writer is between rounds and lock-free
-//! under concurrent publishes — never blocked behind the ingest queue
-//! either way. The writer side (publish, retire-list, hazard scan) uses
-//! a mutex, which is fine: there is exactly one writer and it is the
-//! worker thread that just finished a round.
-//!
-//! [`MaintenanceService::reader`]: crate::MaintenanceService::reader
+//! The cell is a std `RwLock<Arc<PublishedCovers>>`. A read clones the
+//! `Arc` under the read guard; a publish swaps the `Arc` under the write
+//! guard and drops the old one after releasing it, so freeing a large
+//! snapshot never holds readers up. A snapshot a reader holds stays
+//! intact for as long as it holds it, whatever is published meanwhile.
 
 use crate::engine::TombstoneStats;
 use infine_core::{BaseFds, ProvenanceTriple};
 use infine_discovery::FdSet;
-use std::marker::PhantomData;
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One round's published cover state: everything a read-side client
 /// needs, immutable and consistent as of `round`.
@@ -72,30 +37,15 @@ pub struct PublishedCovers {
     pub tombstones: TombstoneStats,
 }
 
-/// One reader handle's hazard slot: the pointer it is currently
-/// dereferencing (null outside `current()`), plus a liveness flag so the
-/// writer can drop slots of dropped readers.
-struct HazardSlot {
-    protected: AtomicPtr<PublishedCovers>,
-    active: AtomicBool,
-}
-
-/// The epoch-swapped publication slot shared by the worker (single
-/// writer) and every [`CoverReader`] (any number of wait-free readers).
+/// The publication slot shared by the worker (single writer) and every
+/// [`CoverReader`].
 pub(crate) struct CoverCell {
-    /// Owns one strong count of the `Arc<PublishedCovers>` behind it.
-    /// Never null once constructed.
-    current: AtomicPtr<PublishedCovers>,
+    /// Poison is ignored: the only write replaces the whole `Arc`, so
+    /// the value is valid even if a lock holder panicked.
+    current: RwLock<Arc<PublishedCovers>>,
     /// Latest round the worker has *started* (drained into the engine);
     /// `head - current.round` is the read lag the gauge reports.
     head: AtomicU64,
-    /// Registered reader slots. Locked at reader registration/drop
-    /// bookkeeping and by the writer's reclamation scan — never on the
-    /// read path.
-    hazards: Mutex<Vec<Arc<HazardSlot>>>,
-    /// Snapshots swapped out but possibly still inside a reader's
-    /// load-to-refcount window. Writer-only.
-    retired: Mutex<Vec<*mut PublishedCovers>>,
     /// `infine_reads_total` — one tick per `current()` call.
     reads: infine_obs::Counter,
     /// `infine_read_round_lag` — head minus the round served, sampled at
@@ -103,27 +53,17 @@ pub(crate) struct CoverCell {
     lag: infine_obs::Gauge,
 }
 
-// The raw pointers in `current` and `retired` are (atomically swapped
-// counts of / retirements of) `Arc<PublishedCovers>` allocations, whose
-// payload is Send + Sync; the hazard protocol above governs every
-// dereference and free.
-unsafe impl Send for CoverCell {}
-unsafe impl Sync for CoverCell {}
-
 impl CoverCell {
     /// A cell holding `initial` (readers created before the first round
-    /// see the bootstrap/recovered state, never a null).
+    /// see the bootstrap/recovered state).
     pub(crate) fn new(
         initial: PublishedCovers,
         reads: infine_obs::Counter,
         lag: infine_obs::Gauge,
     ) -> CoverCell {
-        let round = initial.round;
         CoverCell {
-            current: AtomicPtr::new(Arc::into_raw(Arc::new(initial)).cast_mut()),
-            head: AtomicU64::new(round),
-            hazards: Mutex::new(Vec::new()),
-            retired: Mutex::new(Vec::new()),
+            head: AtomicU64::new(initial.round),
+            current: RwLock::new(Arc::new(initial)),
             reads,
             lag,
         }
@@ -137,131 +77,52 @@ impl CoverCell {
     }
 
     /// Swap in a new snapshot (single writer: the worker thread, or the
-    /// spawning/recovering thread before the worker starts) and free
-    /// every retired snapshot no reader is mid-acquisition on.
+    /// spawning/recovering thread before the worker starts).
     pub(crate) fn publish(&self, snapshot: PublishedCovers) {
         if snapshot.round > self.head.load(Ordering::Relaxed) {
             self.note_head(snapshot.round);
         }
-        let next = Arc::into_raw(Arc::new(snapshot)).cast_mut();
-        let old = self.current.swap(next, Ordering::SeqCst);
-        let mut retired = lock(&self.retired);
-        retired.push(old);
-        self.reclaim(&mut retired);
-    }
-
-    // Free retired snapshots absent from every live hazard slot; prune
-    // slots whose reader dropped. Called with the retired list locked
-    // (writer side only).
-    fn reclaim(&self, retired: &mut Vec<*mut PublishedCovers>) {
-        let mut hazards = lock(&self.hazards);
-        hazards.retain(|slot| {
-            slot.active.load(Ordering::SeqCst) || !slot.protected.load(Ordering::SeqCst).is_null()
-        });
-        retired.retain(|&p| {
-            let hazarded = hazards
-                .iter()
-                .any(|slot| slot.protected.load(Ordering::SeqCst) == p);
-            if !hazarded {
-                // Drop the count the cell held for this snapshot; the
-                // allocation lives on if readers still hold Arcs.
-                unsafe { drop(Arc::from_raw(p)) };
-            }
-            hazarded
-        });
-    }
-
-    /// Register a hazard slot for a new reader handle (off the read
-    /// path: once per `reader()`/`clone`).
-    fn register(&self) -> Arc<HazardSlot> {
-        let slot = Arc::new(HazardSlot {
-            protected: AtomicPtr::new(ptr::null_mut()),
-            active: AtomicBool::new(true),
-        });
-        lock(&self.hazards).push(Arc::clone(&slot));
-        slot
-    }
-
-    // The hazard-protected acquisition described in the module docs.
-    fn acquire(&self, slot: &HazardSlot) -> Arc<PublishedCovers> {
-        loop {
-            let p = self.current.load(Ordering::SeqCst);
-            slot.protected.store(p, Ordering::SeqCst);
-            if self.current.load(Ordering::SeqCst) == p {
-                // The hazard store is ordered before any swap that
-                // retires `p`, so the writer's scan sees it and keeps
-                // `p` alive across this bump.
-                let arc = unsafe {
-                    Arc::increment_strong_count(p);
-                    Arc::from_raw(p)
-                };
-                slot.protected.store(ptr::null_mut(), Ordering::Release);
-                return arc;
-            }
-            // A publish landed between the two loads; retry against the
-            // new current.
-            slot.protected.store(ptr::null_mut(), Ordering::SeqCst);
-        }
+        // The write guard is a temporary of this statement, so `old` is
+        // dropped below with the lock already released.
+        let old = std::mem::replace(
+            &mut *self.current.write().unwrap_or_else(PoisonError::into_inner),
+            Arc::new(snapshot),
+        );
+        drop(old);
     }
 }
 
-impl Drop for CoverCell {
-    fn drop(&mut self) {
-        // No readers can exist here (they each hold an Arc of the cell),
-        // so every pointer is exclusively ours.
-        unsafe { drop(Arc::from_raw(*self.current.get_mut())) };
-        for p in lock(&self.retired).drain(..) {
-            unsafe { drop(Arc::from_raw(p)) };
-        }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// A cloneable, wait-free handle onto the service's published cover
-/// state ([`MaintenanceService::reader`]): [`CoverReader::current`]
-/// returns the latest round's snapshot without locks, without blocking
-/// behind the ingest queue, and without ever observing a torn state.
-/// Rounds observed through one handle are monotonically non-decreasing,
-/// including across `respawn()` and recovery (the cell outlives worker
-/// incarnations).
+/// A cloneable handle onto the service's published cover state
+/// ([`MaintenanceService::reader`]): [`CoverReader::current`] returns
+/// the latest round's snapshot without blocking behind the ingest queue
+/// and without ever observing a torn state. Rounds observed through one
+/// handle are monotonically non-decreasing, including across
+/// `respawn()` and recovery (the cell outlives worker incarnations).
 ///
-/// One handle serves one thread at a time (it is deliberately not
-/// `Sync`); clone it — cloning registers an independent hazard slot —
-/// to fan readers out across threads.
+/// The handle is `Send + Sync`: share one by reference across threads,
+/// or clone it (a refcount bump) to hand threads their own.
 ///
 /// [`MaintenanceService::reader`]: crate::MaintenanceService::reader
+#[derive(Clone)]
 pub struct CoverReader {
     cell: Arc<CoverCell>,
-    slot: Arc<HazardSlot>,
-    /// `current()` uses the handle's single hazard slot non-reentrantly,
-    /// so the handle must not be shared across threads (`!Sync`); moving
-    /// it is fine (see the manual `Send` below).
-    _not_sync: PhantomData<*const ()>,
 }
 
-// Moving a CoverReader between threads is safe: the hazard slot is only
-// touched inside `current()`, which holds `&self` for its whole
-// critical window. Only *sharing* (`Sync`) would race the slot.
-unsafe impl Send for CoverReader {}
-
 impl CoverReader {
-    pub(crate) fn register(cell: Arc<CoverCell>) -> CoverReader {
-        let slot = cell.register();
-        CoverReader {
-            cell,
-            slot,
-            _not_sync: PhantomData,
-        }
+    pub(crate) fn new(cell: Arc<CoverCell>) -> CoverReader {
+        CoverReader { cell }
     }
 
-    /// The latest published snapshot — wait-free between publishes,
-    /// lock-free always, and independent of the ingest queue: a flooded
-    /// service slows *rounds* down, never this call.
+    /// The latest published snapshot, independent of the ingest queue:
+    /// a flooded service slows *rounds* down, never this call.
     pub fn current(&self) -> Arc<PublishedCovers> {
-        let snap = self.cell.acquire(&self.slot);
+        let snap = Arc::clone(
+            &self
+                .cell
+                .current
+                .read()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         self.cell.reads.inc();
         let head = self.cell.head.load(Ordering::Relaxed);
         self.cell.lag.set(head.saturating_sub(snap.round) as i64);
@@ -275,22 +136,10 @@ impl CoverReader {
     }
 }
 
-impl Clone for CoverReader {
-    fn clone(&self) -> CoverReader {
-        CoverReader::register(Arc::clone(&self.cell))
-    }
-}
-
-impl Drop for CoverReader {
-    fn drop(&mut self) {
-        self.slot.protected.store(ptr::null_mut(), Ordering::SeqCst);
-        self.slot.active.store(false, Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     fn handles() -> (infine_obs::Counter, infine_obs::Gauge) {
         let registry = infine_obs::Registry::scoped();
@@ -314,7 +163,7 @@ mod tests {
     fn reads_see_the_latest_publish() {
         let (reads, lag) = handles();
         let cell = Arc::new(CoverCell::new(snap(0), reads, lag));
-        let reader = CoverReader::register(Arc::clone(&cell));
+        let reader = CoverReader::new(Arc::clone(&cell));
         assert_eq!(reader.current().round, 0);
         cell.publish(snap(1));
         cell.publish(snap(2));
@@ -326,83 +175,57 @@ mod tests {
     fn held_snapshots_survive_later_publishes() {
         let (reads, lag) = handles();
         let cell = Arc::new(CoverCell::new(snap(7), reads, lag));
-        let reader = CoverReader::register(Arc::clone(&cell));
+        let reader = CoverReader::new(Arc::clone(&cell));
         let held = reader.current();
         for r in 8..40 {
             cell.publish(snap(r));
         }
-        // The old snapshot is retired and reclaimed cell-side, but the
+        // The cell dropped its count of the old snapshot, but the
         // reader's Arc keeps the payload alive and intact.
         assert_eq!(held.round, 7);
         assert_eq!(reader.current().round, 39);
     }
 
     #[test]
-    fn retired_snapshots_are_reclaimed() {
-        let (reads, lag) = handles();
-        let cell = Arc::new(CoverCell::new(snap(0), reads, lag));
-        let reader = CoverReader::register(Arc::clone(&cell));
-        for r in 1..100 {
-            cell.publish(snap(r));
-            let _ = reader.current();
-        }
-        // No reader is mid-acquisition, so at most the last swap-out can
-        // still be pending (it was pushed after the reclaim scan ran).
-        assert!(lock(&cell.retired).len() <= 1);
-    }
-
-    #[test]
-    fn dropped_readers_free_their_slots() {
-        let (reads, lag) = handles();
-        let cell = Arc::new(CoverCell::new(snap(0), reads, lag));
-        let readers: Vec<CoverReader> = (0..16)
-            .map(|_| CoverReader::register(Arc::clone(&cell)))
-            .collect();
-        assert_eq!(lock(&cell.hazards).len(), 16);
-        drop(readers);
-        cell.publish(snap(1));
-        assert_eq!(lock(&cell.hazards).len(), 0);
-    }
-
-    #[test]
     fn concurrent_readers_observe_monotonic_rounds() {
         let (reads, lag) = handles();
         let cell = Arc::new(CoverCell::new(snap(0), reads, lag));
-        let root = CoverReader::register(Arc::clone(&cell));
-        let stop = Arc::new(AtomicBool::new(false));
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let reader = root.clone();
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut last = 0u64;
-                    let mut seen = 0u64;
-                    // do-while: at least one read even if every publish
-                    // lands before this thread is first scheduled.
-                    loop {
-                        let s = reader.current();
-                        assert!(
-                            s.round >= last,
-                            "round went backwards: {} after {last}",
-                            s.round
-                        );
-                        last = s.round;
-                        seen += 1;
-                        if stop.load(Ordering::Relaxed) {
-                            break;
+        // One handle shared by reference across every thread (Sync).
+        let reader = CoverReader::new(Arc::clone(&cell));
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut last = 0u64;
+                        let mut seen = 0u64;
+                        // do-while: at least one read even if every
+                        // publish lands before this thread first runs.
+                        loop {
+                            let s = reader.current();
+                            assert!(
+                                s.round >= last,
+                                "round went backwards: {} after {last}",
+                                s.round
+                            );
+                            last = s.round;
+                            seen += 1;
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
                         }
-                    }
-                    seen
+                        seen
+                    })
                 })
-            })
-            .collect();
-        for r in 1..=5_000 {
-            cell.publish(snap(r));
-        }
-        stop.store(true, Ordering::Relaxed);
-        for t in threads {
-            assert!(t.join().unwrap() > 0);
-        }
-        assert_eq!(root.current().round, 5_000);
+                .collect();
+            for r in 1..=5_000 {
+                cell.publish(snap(r));
+            }
+            stop.store(true, Ordering::Relaxed);
+            for t in threads {
+                assert!(t.join().unwrap() > 0);
+            }
+        });
+        assert_eq!(reader.current().round, 5_000);
     }
 }

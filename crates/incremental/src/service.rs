@@ -850,11 +850,12 @@ impl MaintenanceService {
         let shed = obs.shed.clone();
         let breaker_gauge = obs.breaker_state.clone();
         // Publish the bootstrap (or recovered) state before the worker
-        // starts: a reader registered right after spawn always sees a
-        // snapshot, never a null — at round 0, or at the durable round
-        // readers resume from after a recovery. A pre-existing cell
-        // (respawn) keeps its registered readers; durable_rounds is ≥
-        // anything they observed, so rounds stay monotone through it.
+        // starts: a reader created right after spawn always sees a
+        // snapshot — at round 0, or at the durable round readers resume
+        // from after a recovery. A pre-existing cell (respawn) keeps its
+        // readers; durable_rounds is ≥ any round they observed (every
+        // published round was logged first), so rounds stay monotone
+        // and every report already received stays readable.
         let initial = durable.as_ref().map_or(0, |d| d.round_index);
         let covers = match cell {
             Some(cell) => {
@@ -904,16 +905,16 @@ impl MaintenanceService {
         }
     }
 
-    /// A wait-free read handle onto the published cover state: each
+    /// A read handle onto the published cover state: each
     /// [`CoverReader::current`] call returns the latest round's
-    /// snapshot without locks and without queueing behind ingest.
-    /// Clone the handle (one hazard slot each) to fan readers out
-    /// across threads; handles keep working across [`respawn`] and
-    /// automatic supervision, resuming at the recovered durable round.
+    /// snapshot without queueing behind ingest. The handle is
+    /// `Send + Sync`; share or clone it to fan readers out across
+    /// threads. Handles keep working across [`respawn`] and automatic
+    /// supervision, resuming at the recovered durable round.
     ///
     /// [`respawn`]: MaintenanceService::respawn
     pub fn reader(&self) -> CoverReader {
-        CoverReader::register(Arc::clone(&self.covers))
+        CoverReader::new(Arc::clone(&self.covers))
     }
 
     /// Rebuild a service from the durable state under `options.dir`:
@@ -1419,6 +1420,13 @@ impl MaintenanceService {
     /// drained. If the worker *died* (panicked), the disconnect is
     /// reported as one final `Err(`[`MaintenanceError::WorkerDied`]`)`,
     /// then `None`.
+    ///
+    /// Read-your-writes: the worker publishes a round's covers before it
+    /// sends the round's report, so once this (or
+    /// [`try_recv_report`](MaintenanceService::try_recv_report) /
+    /// [`recv_report_timeout`](MaintenanceService::recv_report_timeout))
+    /// returns the report for round N, `current().round ≥ N` on every
+    /// [`CoverReader`] of this service.
     pub fn recv_report(&self) -> Option<Result<MaintenanceReport, MaintenanceError>> {
         let received = self.conn.borrow().reports.recv();
         match received {
@@ -1435,7 +1443,8 @@ impl MaintenanceService {
     /// [`MaintenanceService::recv_report`] bounded by a deadline:
     /// `Some(Err(`[`MaintenanceError::Timeout`]`))` when no report lands
     /// in time (the worker may be stalled mid-round, or simply idle —
-    /// check [`MaintenanceService::stats`] to tell which).
+    /// check [`MaintenanceService::stats`] to tell which). Same
+    /// read-your-writes contract: report N means readers see round ≥ N.
     pub fn recv_report_timeout(
         &self,
         deadline: Duration,
@@ -1453,8 +1462,8 @@ impl MaintenanceService {
         }
     }
 
-    /// Non-blocking report poll (same death contract as
-    /// [`MaintenanceService::recv_report`]).
+    /// Non-blocking report poll (same death and read-your-writes
+    /// contracts as [`MaintenanceService::recv_report`]).
     pub fn try_recv_report(&self) -> Option<Result<MaintenanceReport, MaintenanceError>> {
         let received = self.conn.borrow().reports.try_recv();
         match received {
@@ -1600,9 +1609,9 @@ fn run(
         let _ = reports.send(result);
     };
 
-    // Publish the engine's covers for wait-free readers, stamped with
-    // the round they are current as of. Pure clones of read-time caches
-    // (the sharded engine's merged per-label covers) — no recomputation.
+    // Publish the engine's covers for readers, stamped with the round
+    // they are current as of. Pure clones of read-time caches (the
+    // sharded engine's merged per-label covers) — no recomputation.
     let publish_covers = |engine: &ShardedEngine| {
         let t0 = Instant::now();
         covers.publish(engine.published_covers(round_counter.get()));
@@ -1694,8 +1703,10 @@ fn run(
             // makes recovery replay an already-run round.
             d.failpoints.hit(ROUND_COMMIT);
         }
-        finish_round(result, round_t0);
+        // Publish before reporting: a client holding report N must read
+        // round ≥ N (the contract on `recv_report`).
         publish_covers(engine);
+        finish_round(result, round_t0);
         let Some(d) = durable.as_mut() else { return };
         // A degraded round defers the policy cut — counters keep
         // accumulating and the first non-degraded round cuts — exactly
@@ -1734,6 +1745,8 @@ fn run(
             // The cut's canonicalizing vacuum compacted the engine;
             // re-publish the same round in vacuum-canonical form so
             // reader-visible tombstone stats match the durable state.
+            // Same round id as the one already published and reported,
+            // so it neither rewinds readers nor breaks read-your-writes.
             Ok(()) => publish_covers(engine),
             // A failed cut is survivable — the previous snapshot plus
             // the still-growing log cover everything — but loud.

@@ -1,13 +1,15 @@
-//! Reader-consistency soak for the wait-free published cover read path
-//! (the MVCC-lite tentpole's acceptance test): concurrent
-//! [`CoverReader`]s sample while a durable service churns through a
-//! seeded stream, with an injected worker crash and respawn mid-stream.
+//! Reader-consistency soak for the published cover read path:
+//! concurrent [`CoverReader`]s sample while a durable service churns
+//! through a seeded stream, with an injected worker crash and respawn
+//! mid-stream.
 //!
 //! Pinned invariants, at 1, 2, and 4 shards:
 //! - every sampled snapshot's cover equals the *exact* cover the
 //!   driver's paired `recv_report` recorded for that round id (round 0
 //!   is the bootstrap cover) — readers never see a torn or intermediate
 //!   state;
+//! - read-your-writes: once `recv_report` returns round N, a reader's
+//!   `current().round` is at least N;
 //! - round ids observed through one handle are monotonically
 //!   non-decreasing, including across the injected crash and
 //!   [`MaintenanceService::respawn`];
@@ -162,6 +164,8 @@ fn soak(shards: usize) {
             Err(e) => panic!("{tag}: ingest {i} failed: {e}"),
             Ok(()) => match service.recv_report() {
                 Some(Ok(report)) => {
+                    let read = service.reader().current().round;
+                    assert!(read > i, "{tag}: report {} but reader at {read}", i + 1);
                     cover_by_round.push(report.cover.clone());
                     assert_eq!(cover_by_round.len() as u64 - 1, i + 1);
                     i += 1;
@@ -189,24 +193,9 @@ fn soak(shards: usize) {
     assert_eq!(respawns, 1, "{tag}: expected exactly one injected crash");
 
     stop.store(true, Ordering::Relaxed);
-    let final_round = {
-        // The last publish is the last round: spin one reader until it
-        // lands so the traces below include the stream's end state.
-        let reader = service.reader();
-        let t0 = std::time::Instant::now();
-        loop {
-            let snap = reader.current();
-            if snap.round == ROUNDS {
-                break snap;
-            }
-            assert!(
-                t0.elapsed() < std::time::Duration::from_secs(5),
-                "{tag}: final round never published (at {})",
-                snap.round
-            );
-            std::thread::yield_now();
-        }
-    };
+    // The last report was the last round, so it is already published.
+    let final_round = service.reader().current();
+    assert_eq!(final_round.round, ROUNDS, "{tag}: final round");
     assert!(
         same_fds(&final_round.cover, &cover_by_round[ROUNDS as usize]),
         "{tag}: final published cover diverged from the last report"

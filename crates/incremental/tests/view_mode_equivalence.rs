@@ -469,7 +469,7 @@ fn joinindex_durability_kill_and_recover() {
     assert!(same_fds(&reference.fd_set(), &recovered.fd_set()));
 
     // Published reads agree too: same round frontier, same cover, same
-    // triples through the wait-free reader.
+    // triples through the published-cover reader.
     assert_eq!(ref_snap.round, rec_snap.round);
     assert!(same_fds(&ref_snap.cover, &rec_snap.cover));
     assert_eq!(ref_snap.triples, rec_snap.triples);
