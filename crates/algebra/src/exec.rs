@@ -5,9 +5,14 @@
 //! building blocks InFine uses for *partial* computation: semi-join
 //! match-row extraction and column-pruned joins.
 //!
-//! Joins are hash equi-joins over dictionary codes. Because each relation
-//! has its own dictionary, join columns are first aligned onto a shared
-//! code space (one pass over each dictionary, not over the rows).
+//! Joins are hash equi-joins over dictionary codes. Each relation has its
+//! own dictionary, so per key column the build side's *used* codes get
+//! dense value ids (one hash per distinct value) and each used probe code
+//! is translated once; NULL and unmatched codes get no id. Multi-column
+//! keys fold into one dense tuple id, and the build table is CSR (counts,
+//! prefix sums, row list) on that id. Semi-joins and [`matching_rows`] are
+//! a membership test on the ids. No per-row key is allocated or hashed.
+//! All kernels scan physical rows `0..nrows`: inputs must be compact.
 
 use crate::spec::{CmpOp, JoinCondition, JoinOp, Predicate, ViewSpec};
 use infine_relation::{AttrId, Attribute, Column, Database, Origin, Relation, Schema, Value};
@@ -47,53 +52,34 @@ impl std::error::Error for AlgebraError {}
 ///
 /// Resolution order: exact name match; unique `.name` suffix match (so
 /// `subject_id` finds `patients.subject_id` after a collision rename);
-/// unique lineage match on `origin.attribute`.
+/// unique lineage match on `origin.attribute`; unique lineage match on
+/// `origin.relation.origin.attribute`.
 pub fn resolve(schema: &Schema, name: &str) -> Result<AttrId, AlgebraError> {
     if let Some(id) = schema.id_of(name) {
         return Ok(id);
     }
     let suffix = format!(".{name}");
-    let by_suffix: Vec<AttrId> = (0..schema.len())
-        .filter(|&i| schema.name(i).ends_with(&suffix))
-        .collect();
-    match by_suffix.len() {
-        1 => return Ok(by_suffix[0]),
-        n if n > 1 => return Err(AlgebraError::AmbiguousAttribute(name.to_string())),
-        _ => {}
-    }
-    let by_origin: Vec<AttrId> = (0..schema.len())
-        .filter(|&i| {
-            schema
-                .attr(i)
-                .origin
-                .as_ref()
-                .map(|o| o.attribute == name)
-                .unwrap_or(false)
-        })
-        .collect();
-    match by_origin.len() {
-        1 => return Ok(by_origin[0]),
-        n if n > 1 => return Err(AlgebraError::AmbiguousAttribute(name.to_string())),
-        _ => {}
-    }
-    // Qualified reference `rel.attr` matched against full lineage — lets a
-    // query say `atm.drug_id` even when the (base) schema's display name
-    // is the bare `drug_id`.
-    if let Some((rel, attr)) = name.rsplit_once('.') {
-        let by_qualified: Vec<AttrId> = (0..schema.len())
-            .filter(|&i| {
-                schema
-                    .attr(i)
-                    .origin
-                    .as_ref()
-                    .map(|o| o.relation == rel && o.attribute == attr)
-                    .unwrap_or(false)
-            })
+    let qualified = name.rsplit_once('.');
+    let origin_is = |a: &Attribute, rel: Option<&str>, attr: &str| {
+        (a.origin.as_ref())
+            .is_some_and(|o| o.attribute == attr && rel.is_none_or(|r| o.relation == r))
+    };
+    // Fallbacks in order; the qualified one (`rel.attr` against full
+    // lineage) lets a query say `atm.drug_id` even when the (base)
+    // schema's display name is the bare `drug_id`.
+    let fallbacks: [&dyn Fn(&Attribute) -> bool; 3] = [
+        &|a| a.name.ends_with(&suffix),
+        &|a| origin_is(a, None, name),
+        &|a| qualified.is_some_and(|(rel, attr)| origin_is(a, Some(rel), attr)),
+    ];
+    for matches in fallbacks {
+        let hits: Vec<AttrId> = (0..schema.len())
+            .filter(|&i| matches(schema.attr(i)))
             .collect();
-        match by_qualified.len() {
-            1 => return Ok(by_qualified[0]),
-            n if n > 1 => return Err(AlgebraError::AmbiguousAttribute(name.to_string())),
-            _ => {}
+        match hits[..] {
+            [id] => return Ok(id),
+            [] => {}
+            _ => return Err(AlgebraError::AmbiguousAttribute(name.to_string())),
         }
     }
     Err(AlgebraError::UnknownAttribute {
@@ -109,10 +95,6 @@ pub fn resolve(schema: &Schema, name: &str) -> Result<AttrId, AlgebraError> {
 /// `l.`/`r.` prefix without lineage), and numeric suffixes `#2`, `#3`, …
 /// disambiguate any residual clash.
 pub fn joined_schema(left: &Schema, right: &Schema, op: JoinOp) -> Schema {
-    join_schema(left, right, op)
-}
-
-fn join_schema(left: &Schema, right: &Schema, op: JoinOp) -> Schema {
     let mut counts: HashMap<&str, usize> = HashMap::new();
     let sides: Vec<(&Schema, &str)> = match op {
         JoinOp::LeftSemi => vec![(left, "l")],
@@ -152,55 +134,85 @@ fn join_schema(left: &Schema, right: &Schema, op: JoinOp) -> Schema {
     out
 }
 
-/// Per-join-column alignment of two dictionaries onto a common code space.
-struct KeyAlign {
-    /// left code → common id
-    left: Vec<u32>,
-    /// right code → common id
-    right: Vec<u32>,
-}
+/// Key id of a row whose key has a NULL component (SQL: null keys never
+/// match) or, on the probe side, no equal build key.
+const NO_KEY: u32 = u32::MAX;
+/// Memo slot of a dictionary code not yet translated.
+const UNSEEN: u32 = u32::MAX - 1;
 
-fn align_keys(l: &Column, r: &Column) -> KeyAlign {
-    let mut common: HashMap<&Value, u32> = HashMap::with_capacity(l.dict.len());
-    let mut left = Vec::with_capacity(l.dict.len());
-    for v in l.dict.iter() {
-        let next = common.len() as u32;
-        let id = *common.entry(v).or_insert(next);
-        left.push(id);
-    }
-    let mut right = Vec::with_capacity(r.dict.len());
-    for v in r.dict.iter() {
-        let next = common.len() as u32;
-        let id = *common.entry(v).or_insert(next);
-        right.push(id);
-    }
-    KeyAlign { left, right }
-}
-
-/// Composite key of a row over the aligned join columns; `None` when any
-/// component is SQL NULL (null keys never match).
-#[inline]
-fn row_key(
-    rel: &Relation,
-    row: usize,
-    attrs: &[AttrId],
-    side_is_left: bool,
-    aligns: &[KeyAlign],
-) -> Option<Vec<u32>> {
-    let mut key = Vec::with_capacity(attrs.len());
-    for (i, &a) in attrs.iter().enumerate() {
-        if rel.is_null(row, a) {
-            return None;
+/// Dense key ids for an equi-join of `build` and `probe` on paired key
+/// columns: `(build ids, probe ids, n)`.
+///
+/// Build rows get ids in `0..n`, one per distinct key tuple they hold; a
+/// probe row gets the id of the equal build tuple, so its id is set iff
+/// it has a join partner. Per column, each used build code is hashed once
+/// into a value map and each used probe code is translated once through
+/// it; further columns fold `(tuple id, value id)` into dense tuple ids
+/// through a `u64`-keyed map. Rows already without an id are skipped.
+fn key_ids(
+    build: &Relation,
+    bkeys: &[AttrId],
+    probe: &Relation,
+    pkeys: &[AttrId],
+) -> (Vec<u32>, Vec<u32>, usize) {
+    assert_eq!(bkeys.len(), pkeys.len());
+    let mut b_ids = vec![0; build.nrows()];
+    let mut p_ids = vec![if build.nrows() > 0 { 0 } else { NO_KEY }; probe.nrows()];
+    let mut n = 1;
+    for (&ba, &pa) in bkeys.iter().zip(pkeys) {
+        let mut values: HashMap<&Value, u32> = HashMap::new();
+        let bv = value_ids(build.column(ba), &b_ids, |v| {
+            let next = values.len() as u32;
+            *values.entry(v).or_insert(next)
+        });
+        let pv = value_ids(probe.column(pa), &p_ids, |v| {
+            values.get(v).copied().unwrap_or(NO_KEY)
+        });
+        if n == 1 {
+            // Every tuple id so far is 0: the value id is the tuple id.
+            (b_ids, p_ids, n) = (bv, pv, values.len());
+            continue;
         }
-        let code = rel.code(row, a) as usize;
-        let common = if side_is_left {
-            aligns[i].left[code]
-        } else {
-            aligns[i].right[code]
-        };
-        key.push(common);
+        let m = values.len() as u64;
+        let mut tuples: HashMap<u64, u32> = HashMap::new();
+        let tuple = |t: u32, v: u32| (v != NO_KEY).then(|| t as u64 * m + v as u64);
+        for (t, &v) in b_ids.iter_mut().zip(&bv) {
+            let next = tuples.len() as u32;
+            *t = tuple(*t, v).map_or(NO_KEY, |k| *tuples.entry(k).or_insert(next));
+        }
+        for (t, &v) in p_ids.iter_mut().zip(&pv) {
+            *t = tuple(*t, v)
+                .and_then(|k| tuples.get(&k).copied())
+                .unwrap_or(NO_KEY);
+        }
+        n = tuples.len();
     }
-    Some(key)
+    (b_ids, p_ids, n)
+}
+
+/// Per-row value ids of one key column, for rows whose `tuple` id is set;
+/// `id` runs once per distinct non-NULL code among them.
+fn value_ids<'a>(col: &'a Column, tuple: &[u32], mut id: impl FnMut(&'a Value) -> u32) -> Vec<u32> {
+    let mut memo = vec![UNSEEN; col.dict.len()];
+    col.codes
+        .iter()
+        .zip(tuple)
+        .map(|(&c, &t)| {
+            if t == NO_KEY || Some(c) == col.null_code {
+                return NO_KEY;
+            }
+            let slot = &mut memo[c as usize];
+            if *slot == UNSEEN {
+                *slot = id(&col.dict[c as usize]);
+            }
+            *slot
+        })
+        .collect()
+}
+
+/// Rows holding a key id, ascending.
+fn keyed(ids: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    (0..ids.len() as u32).filter(|&row| ids[row as usize] != NO_KEY)
 }
 
 /// Gather output codes for one side's column given (possibly absent) row
@@ -232,6 +244,11 @@ fn gather_optional(col: &Column, rows: &[Option<u32>]) -> Column {
 /// that order); `None` keeps everything. Column pruning is what makes
 /// InFine's *partial SPJ computation* (Algorithm 4 line 19, Algorithm 5)
 /// cheap — only the attributes under test are materialized.
+///
+/// Rows come out left-major, each left row's partners in ascending right
+/// row order, then (right/full outer) the dangling right rows ascending.
+/// Both inputs must be compact: the kernel scans physical rows
+/// `0..nrows` and does not consult tombstones.
 pub fn join_relations(
     left: &Relation,
     right: &Relation,
@@ -241,74 +258,57 @@ pub fn join_relations(
     keep_right: Option<&[AttrId]>,
     name: &str,
 ) -> Relation {
-    let aligns: Vec<KeyAlign> = on
-        .iter()
-        .map(|&(l, r)| align_keys(left.column(l), right.column(r)))
-        .collect();
+    debug_assert!(
+        !left.has_tombstones() && !right.has_tombstones(),
+        "compact inputs only"
+    );
     let lattrs: Vec<AttrId> = on.iter().map(|&(l, _)| l).collect();
     let rattrs: Vec<AttrId> = on.iter().map(|&(_, r)| r).collect();
+    let (r_ids, l_ids, n) = key_ids(right, &rattrs, left, &lattrs);
 
-    // Build on the right side.
-    let mut table: HashMap<Vec<u32>, Vec<u32>> = HashMap::new();
-    for row in 0..right.nrows() {
-        if let Some(key) = row_key(right, row, &rattrs, false, &aligns) {
-            table.entry(key).or_default().push(row as u32);
-        }
-    }
-
-    // Probe with the left side.
     let mut pairs: Vec<(Option<u32>, Option<u32>)> = Vec::new();
-    let mut right_matched = vec![false; right.nrows()];
     match op {
-        JoinOp::LeftSemi => {
-            for row in 0..left.nrows() {
-                if let Some(key) = row_key(left, row, &lattrs, true, &aligns) {
-                    if table.contains_key(&key) {
-                        pairs.push((Some(row as u32), None));
-                    }
-                }
-            }
-        }
+        JoinOp::LeftSemi => pairs.extend(keyed(&l_ids).map(|l| (Some(l), None))),
         JoinOp::RightSemi => {
-            // Probe right rows against a left-side set instead.
-            let mut left_keys: HashMap<Vec<u32>, ()> = HashMap::new();
-            for row in 0..left.nrows() {
-                if let Some(key) = row_key(left, row, &lattrs, true, &aligns) {
-                    left_keys.insert(key, ());
-                }
+            let mut hit = vec![false; n];
+            for l in keyed(&l_ids) {
+                hit[l_ids[l as usize] as usize] = true;
             }
-            for row in 0..right.nrows() {
-                if let Some(key) = row_key(right, row, &rattrs, false, &aligns) {
-                    if left_keys.contains_key(&key) {
-                        pairs.push((None, Some(row as u32)));
-                    }
-                }
-            }
+            let right_hit = keyed(&r_ids).filter(|&r| hit[r_ids[r as usize] as usize]);
+            pairs.extend(right_hit.map(|r| (None, Some(r))));
         }
         _ => {
-            for row in 0..left.nrows() {
-                let key = row_key(left, row, &lattrs, true, &aligns);
-                let matches = key.as_ref().and_then(|k| table.get(k));
-                match matches {
-                    Some(rs) => {
-                        for &r in rs {
-                            right_matched[r as usize] = true;
-                            pairs.push((Some(row as u32), Some(r)));
-                        }
+            // CSR build table: right rows grouped by key id, ascending.
+            let mut start = vec![0u32; n + 1];
+            for r in keyed(&r_ids) {
+                start[r_ids[r as usize] as usize + 1] += 1;
+            }
+            for i in 0..n {
+                start[i + 1] += start[i];
+            }
+            let mut fill = start.clone();
+            let mut rows = vec![0u32; start[n] as usize];
+            for r in keyed(&r_ids) {
+                let slot = &mut fill[r_ids[r as usize] as usize];
+                rows[*slot as usize] = r;
+                *slot += 1;
+            }
+            let mut right_matched = vec![false; right.nrows()];
+            for (l, &id) in (0u32..).zip(&l_ids) {
+                if id == NO_KEY {
+                    if matches!(op, JoinOp::LeftOuter | JoinOp::FullOuter) {
+                        pairs.push((Some(l), None));
                     }
-                    None => {
-                        if matches!(op, JoinOp::LeftOuter | JoinOp::FullOuter) {
-                            pairs.push((Some(row as u32), None));
-                        }
-                    }
+                    continue;
+                }
+                for &r in &rows[start[id as usize] as usize..start[id as usize + 1] as usize] {
+                    right_matched[r as usize] = true;
+                    pairs.push((Some(l), Some(r)));
                 }
             }
             if matches!(op, JoinOp::RightOuter | JoinOp::FullOuter) {
-                for (row, matched) in right_matched.iter().enumerate() {
-                    if !matched {
-                        pairs.push((None, Some(row as u32)));
-                    }
-                }
+                let dangling = (0u32..).zip(right_matched).filter(|&(_, m)| !m);
+                pairs.extend(dangling.map(|(r, _)| (None, Some(r))));
             }
         }
     }
@@ -327,126 +327,118 @@ pub fn join_relations(
         &[]
     };
 
-    let left_rows: Vec<Option<u32>> = pairs.iter().map(|&(l, _)| l).collect();
-    let right_rows: Vec<Option<u32>> = pairs.iter().map(|&(_, r)| r).collect();
+    let nrows = pairs.len();
+    let (left_rows, right_rows): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
 
-    let mut schema = Schema::new();
-    let mut columns = Vec::with_capacity(kept_left.len() + kept_right.len());
-    {
-        // Restricted schemas drive the collision renaming.
-        let mut lschema = Schema::new();
-        for &a in kept_left {
-            lschema.push(left.schema.attr(a).clone());
+    // Restricted schemas drive the collision renaming.
+    let restrict = |s: &Schema, attrs: &[AttrId]| {
+        let mut out = Schema::new();
+        for &a in attrs {
+            out.push(s.attr(a).clone());
         }
-        let mut rschema = Schema::new();
-        for &a in kept_right {
-            rschema.push(right.schema.attr(a).clone());
-        }
-        let combined = join_schema(
-            &lschema,
-            &rschema,
-            if kept_left.is_empty() {
-                JoinOp::RightSemi
-            } else if kept_right.is_empty() {
-                JoinOp::LeftSemi
-            } else {
-                JoinOp::Inner
-            },
-        );
-        for attr in combined.iter() {
-            schema.push(attr.clone());
-        }
-    }
-    for &a in kept_left {
-        columns.push(gather_optional(left.column(a), &left_rows));
-    }
-    for &a in kept_right {
-        columns.push(gather_optional(right.column(a), &right_rows));
-    }
-    Relation::from_columns(name, schema, columns, pairs.len())
+        out
+    };
+    let lschema = restrict(&left.schema, kept_left);
+    let schema = joined_schema(
+        &lschema,
+        &restrict(&right.schema, kept_right),
+        JoinOp::Inner,
+    );
+    let columns = (kept_left.iter())
+        .map(|&a| gather_optional(left.column(a), &left_rows))
+        .chain(
+            kept_right
+                .iter()
+                .map(|&a| gather_optional(right.column(a), &right_rows)),
+        )
+        .collect();
+    Relation::from_columns(name, schema, columns, nrows)
 }
 
 /// Distinct rows of `probe` that have at least one join partner in `other`.
 ///
 /// This realizes `I ♦X=Y πY(J)` of Algorithm 3 line 13 *without* computing
 /// the join: only the key columns are touched and each probe row appears at
-/// most once. The result drives both the size check (line 14) and the
-/// upstaged-FD mining input.
+/// most once, in ascending order. The result drives both the size check
+/// (line 14) and the upstaged-FD mining input. Both inputs must be compact
+/// (physical rows `0..nrows`, no tombstones).
 pub fn matching_rows(
     probe: &Relation,
     other: &Relation,
     probe_keys: &[AttrId],
     other_keys: &[AttrId],
 ) -> Vec<u32> {
-    assert_eq!(probe_keys.len(), other_keys.len());
-    let aligns: Vec<KeyAlign> = probe_keys
-        .iter()
-        .zip(other_keys)
-        .map(|(&p, &o)| align_keys(probe.column(p), other.column(o)))
-        .collect();
-    let mut keys: HashMap<Vec<u32>, ()> = HashMap::new();
-    for row in 0..other.nrows() {
-        if let Some(key) = row_key(other, row, other_keys, false, &aligns) {
-            keys.insert(key, ());
-        }
-    }
-    let mut out = Vec::new();
-    for row in 0..probe.nrows() {
-        if let Some(key) = row_key(probe, row, probe_keys, true, &aligns) {
-            if keys.contains_key(&key) {
-                out.push(row as u32);
-            }
-        }
-    }
-    out
+    debug_assert!(
+        !probe.has_tombstones() && !other.has_tombstones(),
+        "compact inputs only"
+    );
+    let (_, ids, _) = key_ids(other, other_keys, probe, probe_keys);
+    keyed(&ids).collect()
 }
 
-/// Evaluate a predicate on one row.
-fn eval_predicate(rel: &Relation, row: usize, pred: &Predicate) -> Result<bool, AlgebraError> {
+/// A predicate compiled against one relation: a row test.
+type RowTest<'a> = Box<dyn Fn(usize) -> bool + 'a>;
+
+/// Compile a predicate, resolving every attribute name once up front — so
+/// an unknown name is an error whether or not the relation has rows.
+fn compile<'a>(rel: &'a Relation, pred: &'a Predicate) -> Result<RowTest<'a>, AlgebraError> {
+    let attr = |name: &str| resolve(&rel.schema, name);
     Ok(match pred {
-        Predicate::True => true,
-        Predicate::Cmp { attr, op, value } => {
-            let a = resolve(&rel.schema, attr)?;
-            if rel.is_null(row, a) {
-                return Ok(false); // SQL: comparisons with NULL are not true
-            }
-            let v = rel.value(row, a);
-            match op {
-                CmpOp::Eq => v == value,
-                CmpOp::Ne => v != value,
-                CmpOp::Lt => v < value,
-                CmpOp::Le => v <= value,
-                CmpOp::Gt => v > value,
-                CmpOp::Ge => v >= value,
-            }
+        Predicate::True => Box::new(|_| true),
+        Predicate::Cmp {
+            attr: name,
+            op,
+            value,
+        } => {
+            let (a, op) = (attr(name)?, *op);
+            // SQL: comparisons with NULL are not true.
+            Box::new(move |row| {
+                !rel.is_null(row, a) && {
+                    let v = rel.value(row, a);
+                    match op {
+                        CmpOp::Eq => v == value,
+                        CmpOp::Ne => v != value,
+                        CmpOp::Lt => v < value,
+                        CmpOp::Le => v <= value,
+                        CmpOp::Gt => v > value,
+                        CmpOp::Ge => v >= value,
+                    }
+                }
+            })
         }
-        Predicate::IsNull(attr) => {
-            let a = resolve(&rel.schema, attr)?;
-            rel.is_null(row, a)
+        Predicate::IsNull(name) | Predicate::IsNotNull(name) => {
+            let (a, null) = (attr(name)?, matches!(pred, Predicate::IsNull(_)));
+            Box::new(move |row| rel.is_null(row, a) == null)
         }
-        Predicate::IsNotNull(attr) => {
-            let a = resolve(&rel.schema, attr)?;
-            !rel.is_null(row, a)
+        Predicate::In { attr: name, values } => {
+            let a = attr(name)?;
+            Box::new(move |row| !rel.is_null(row, a) && values.contains(rel.value(row, a)))
         }
-        Predicate::In { attr, values } => {
-            let a = resolve(&rel.schema, attr)?;
-            !rel.is_null(row, a) && values.contains(rel.value(row, a))
+        Predicate::And(x, y) => {
+            let (x, y) = (compile(rel, x)?, compile(rel, y)?);
+            Box::new(move |row| x(row) && y(row))
         }
-        Predicate::And(x, y) => eval_predicate(rel, row, x)? && eval_predicate(rel, row, y)?,
-        Predicate::Or(x, y) => eval_predicate(rel, row, x)? || eval_predicate(rel, row, y)?,
-        Predicate::Not(x) => !eval_predicate(rel, row, x)?,
+        Predicate::Or(x, y) => {
+            let (x, y) = (compile(rel, x)?, compile(rel, y)?);
+            Box::new(move |row| x(row) || y(row))
+        }
+        Predicate::Not(x) => {
+            let x = compile(rel, x)?;
+            Box::new(move |row| !x(row))
+        }
     })
 }
 
 /// Apply a selection, returning the surviving row indices.
+///
+/// The input must be compact: physical rows `0..nrows` are scanned and
+/// tombstones are not consulted.
 pub fn select_rows(rel: &Relation, pred: &Predicate) -> Result<Vec<u32>, AlgebraError> {
-    let mut rows = Vec::new();
-    for row in 0..rel.nrows() {
-        if eval_predicate(rel, row, pred)? {
-            rows.push(row as u32);
-        }
-    }
-    Ok(rows)
+    debug_assert!(!rel.has_tombstones(), "compact input only");
+    let test = compile(rel, pred)?;
+    Ok((0..rel.nrows() as u32)
+        .filter(|&row| test(row as usize))
+        .collect())
 }
 
 fn apply_alias(rel: &Relation, alias: &str) -> Relation {
@@ -575,7 +567,7 @@ pub fn derive_schema(spec: &ViewSpec, db: &Database) -> Result<Schema, AlgebraEr
         } => {
             let l = derive_schema(left, db)?;
             let r = derive_schema(right, db)?;
-            Ok(join_schema(&l, &r, *op))
+            Ok(joined_schema(&l, &r, *op))
         }
     }
 }
@@ -774,6 +766,14 @@ mod tests {
         assert!(matches!(
             execute(&v, &db()),
             Err(AlgebraError::UnknownRelation(_))
+        ));
+        // Attributes resolve before any row is read: an empty input errs too.
+        let mut d = db();
+        d.insert(relation_from_rows("empty", &["a"], &[]));
+        let v = ViewSpec::base("empty").select(Predicate::eq("nope", 1i64));
+        assert!(matches!(
+            execute(&v, &d),
+            Err(AlgebraError::UnknownAttribute { .. })
         ));
     }
 

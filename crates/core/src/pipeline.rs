@@ -840,8 +840,7 @@ impl Ctx<'_> {
         // Join-key equivalence FDs (x → y / y → x) where guaranteed by the
         // operator/padding analysis — fed to inference and mining closures.
         let t1 = Instant::now();
-        for (i, &(x, y)) in on_ids.iter().enumerate() {
-            let _ = i;
+        for &(x, y) in &on_ids {
             let (xy_ok, yx_ok) = key_equivalence_validity(&l_rel, &r_rel, &on_ids, op, x, y);
             if xy_ok {
                 builder.insert(ProvenanceTriple::new(
