@@ -66,7 +66,7 @@ pub use instance::{side_instance, SideInstance};
 pub use minefds::{mine_join_fds, mine_join_fds_with_options, MineOutcome};
 pub use pipeline::{
     base_scopes, merge_fragment_covers, merge_label_covers, BaseFds, BaseScope, InFine,
-    InFineConfig, InFineError, InFineReport, PhaseTimings, PipelineStats,
+    InFineError, InFineReport, PhaseTimings, PipelineStats,
 };
 pub use provenance::{FdKind, ProvenanceBuilder, ProvenanceTriple};
 pub use restrict::restrict_triples;

@@ -133,20 +133,10 @@ pub struct PipelineStats {
     pub mine_validated: usize,
 }
 
-/// Configuration of the pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct InFineConfig {
-    /// Algorithm used for step-1 base-table mining.
-    pub base_algorithm: Algorithm,
-}
-
-impl Default for InFineConfig {
-    fn default() -> Self {
-        InFineConfig {
-            base_algorithm: Algorithm::Levelwise,
-        }
-    }
-}
+/// The step-1 base-table miner. `CoverState::bootstrap` in the
+/// incremental crate mines with the same algorithm. The minimal cover of
+/// a relation is unique, so the choice changes cost, never the answer.
+const BASE_MINER: Algorithm = Algorithm::Levelwise;
 
 /// The result of a pipeline run.
 #[derive(Debug)]
@@ -233,19 +223,12 @@ impl Node {
     }
 }
 
-/// The InFine pipeline (Algorithm 1).
+/// The InFine pipeline (Algorithm 1). It holds no configuration:
+/// build one with `InFine::default()`.
 #[derive(Debug, Default)]
-pub struct InFine {
-    /// Configuration.
-    pub config: InFineConfig,
-}
+pub struct InFine {}
 
 impl InFine {
-    /// Create a pipeline with a custom configuration.
-    pub fn new(config: InFineConfig) -> Self {
-        InFine { config }
-    }
-
     /// Discover the provenance-annotated FDs of `spec` over `db`.
     pub fn discover(&self, db: &Database, spec: &ViewSpec) -> Result<InFineReport, InFineError> {
         self.discover_inner(db, spec, None)
@@ -273,44 +256,6 @@ impl InFine {
         base_fds: &BaseFds,
     ) -> Result<InFineReport, InFineError> {
         self.discover_inner(db, spec, Some(base_fds))
-    }
-
-    /// Shard-aware incremental entry point: each element of
-    /// `shard_base_fds` carries per-label covers maintained over one
-    /// *fragment* (a disjoint row subset) of each base table; the
-    /// fragments of one label must union to the label's full scoped
-    /// relation in `db`. Per label the fragment covers are merged into
-    /// the exact global cover ([`merge_fragment_covers`]) and the
-    /// pipeline then replays with base mining skipped — the report is
-    /// identical to [`InFine::discover`] on `db`.
-    pub fn discover_sharded(
-        &self,
-        db: &Database,
-        spec: &ViewSpec,
-        shard_base_fds: &[BaseFds],
-    ) -> Result<InFineReport, InFineError> {
-        let merged = self.merge_shard_base_fds(db, spec, shard_base_fds)?;
-        self.discover_incremental(db, spec, &merged)
-    }
-
-    /// The cover-merge half of [`InFine::discover_sharded`]: per base
-    /// label, merge the shard fragment covers into the canonical cover of
-    /// the full scoped relation. Labels that no shard supplies are left
-    /// out (the pipeline falls back to mining them).
-    pub fn merge_shard_base_fds(
-        &self,
-        db: &Database,
-        spec: &ViewSpec,
-        shard_base_fds: &[BaseFds],
-    ) -> Result<BaseFds, InFineError> {
-        let scopes = base_scopes(db, spec)?;
-        let mut merged = BaseFds::new();
-        for scope in scopes {
-            if let Some(fds) = merge_label_covers(db, &scope, shard_base_fds) {
-                merged.insert(scope.label, fds);
-            }
-        }
-        Ok(merged)
     }
 
     fn discover_inner(
@@ -348,11 +293,10 @@ impl InFine {
             .collect();
         let mut premine_time = Duration::ZERO;
         let hoisted: Option<BaseFds> = if to_mine.len() >= 2 && !infine_exec::sequential() {
-            let algo = self.config.base_algorithm;
             let t0 = Instant::now();
             let mined = infine_exec::par_map(&to_mine, |_, scope| {
                 let rel = scope.project(db);
-                algo.discover_restricted(&rel, rel.attr_set())
+                BASE_MINER.discover_restricted(&rel, rel.attr_set())
             });
             premine_time = t0.elapsed();
             let mut effective: BaseFds = base_fds.cloned().unwrap_or_default();
@@ -366,7 +310,6 @@ impl InFine {
 
         let mut ctx = Ctx {
             db,
-            algo: self.config.base_algorithm,
             timings: PhaseTimings {
                 base_mining: premine_time,
                 ..PhaseTimings::default()
@@ -439,7 +382,6 @@ fn record_phase_metrics(timings: &PhaseTimings) {
 
 struct Ctx<'a> {
     db: &'a Database,
-    algo: Algorithm,
     timings: PhaseTimings,
     stats: PipelineStats,
     /// Origins of the view's final projected attributes (AV); used to
@@ -561,7 +503,7 @@ impl Ctx<'_> {
             Some(maintained) => maintained.clone(),
             None => {
                 let t1 = Instant::now();
-                let fds = self.algo.discover_restricted(&rel, rel.attr_set());
+                let fds = BASE_MINER.discover_restricted(&rel, rel.attr_set());
                 self.timings.base_mining += t1.elapsed();
                 fds
             }
@@ -958,8 +900,8 @@ pub fn base_scopes(db: &Database, spec: &ViewSpec) -> Result<Vec<BaseScope>, InF
 /// pipeline fall back to mining it), the single cover as-is when exactly
 /// one shard does (its fragment is the whole relation), and
 /// [`merge_fragment_covers`] on the full scoped relation otherwise. The
-/// per-label unit shared by [`InFine::merge_shard_base_fds`] and the
-/// incremental crate's sharded engine (which caches merges per label).
+/// per-label unit of the incremental crate's sharded engine (which
+/// caches merges per label).
 pub fn merge_label_covers(
     db: &Database,
     scope: &BaseScope,
@@ -1714,8 +1656,15 @@ mod tests {
                             .collect()
                     })
                     .collect();
+                let merged: BaseFds = base_scopes(&db, &spec)
+                    .unwrap()
+                    .iter()
+                    .filter_map(|sc| {
+                        merge_label_covers(&db, sc, &shard_base).map(|fds| (sc.label.clone(), fds))
+                    })
+                    .collect();
                 let sharded = InFine::default()
-                    .discover_sharded(&db, &spec, &shard_base)
+                    .discover_incremental(&db, &spec, &merged)
                     .unwrap();
                 assert_eq!(
                     full.triples, sharded.triples,

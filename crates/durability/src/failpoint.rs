@@ -1,4 +1,6 @@
-//! Fault injection for the kill-and-recover and chaos soaks.
+//! Fault injection for the seeded service model test
+//! (`crates/incremental/tests/service_model.rs`) and the durability
+//! tests.
 //!
 //! A fail point is a named site in the durability/service code that, when
 //! armed, fires an injected fault on its *n*-th hit. Three fault shapes
@@ -10,11 +12,11 @@
 //! `io::Error`, either transient (retryable — `ErrorKind::Interrupted`,
 //! the EINTR/ENOSPC-blip stand-in) or fatal (`ErrorKind::InvalidData`);
 //! [`FailAction::Delay`] stalls the site to simulate a slow disk. The
-//! soaks arm sites, drive churn through the injected faults, and pin the
-//! final state equal to an unfaulted run.
+//! model test arms sites, drives churn through the injected faults, and
+//! pins the surviving state equal to an unfaulted run.
 //!
-//! Arming is runtime state, not a cfg gate: integration tests and the
-//! soaks live outside the crate, so the hooks must exist in release
+//! Arming is runtime state, not a cfg gate: integration tests live
+//! outside the crate, so the hooks must exist in release
 //! builds. Unarmed hits are one mutex-free `Arc` null-check beyond a
 //! `Mutex` lock only taken when at least one site is armed; production
 //! callers pass [`FailPoints::none`] and pay a single branch.
@@ -211,7 +213,7 @@ impl FailPoints {
     /// Register a hit at a site with no error path. A due `Panic` kills
     /// the calling thread; a due `Delay` stalls it; a due `Err` degrades
     /// to a panic (an error cannot be returned from here) so a misarmed
-    /// soak fails loudly instead of silently skipping the injection.
+    /// test fails loudly instead of silently skipping the injection.
     pub fn hit(&self, site: &str) {
         match self.advance(site) {
             None => {}

@@ -70,9 +70,11 @@ pub struct CoverState {
 }
 
 impl CoverState {
-    /// Mine the full cover from scratch and seed the partition state.
-    pub fn bootstrap(rel: &Relation, attrs: AttrSet, algorithm: Algorithm) -> CoverState {
-        let fds = algorithm.discover_restricted(rel, attrs);
+    /// Mine the full cover from scratch, with the algorithm of InFine's
+    /// step-1 base mining (`BASE_MINER` in `infine-core`), and seed the
+    /// partition state.
+    pub fn bootstrap(rel: &Relation, attrs: AttrSet) -> CoverState {
+        let fds = Algorithm::Levelwise.discover_restricted(rel, attrs);
         let mut state = CoverState {
             attrs,
             fds,
@@ -363,14 +365,14 @@ mod tests {
     #[test]
     fn bootstrap_equals_full_mine() {
         let r = rel();
-        let state = CoverState::bootstrap(&r, r.attr_set(), Algorithm::Levelwise);
+        let state = CoverState::bootstrap(&r, r.attr_set());
         assert_cover_current(&state, &r);
     }
 
     #[test]
     fn inserts_break_and_recover() {
         let r = rel();
-        let mut state = CoverState::bootstrap(&r, r.attr_set(), Algorithm::Levelwise);
+        let mut state = CoverState::bootstrap(&r, r.attr_set());
         // break b → c (and a stays a key)
         let mut batch = DeltaBatch::new();
         batch.insert(vec![Value::Int(5), Value::Int(10), Value::Int(7)]);
@@ -383,7 +385,7 @@ mod tests {
     #[test]
     fn deletes_surface_new_fds() {
         let r = rel();
-        let mut state = CoverState::bootstrap(&r, r.attr_set(), Algorithm::Levelwise);
+        let mut state = CoverState::bootstrap(&r, r.attr_set());
         // delete the b=20 group: b,c become constants
         let mut batch = DeltaBatch::new();
         batch.delete(2).delete(3);
@@ -398,7 +400,7 @@ mod tests {
     fn restricted_attrs_stay_restricted() {
         let r = rel();
         let attrs: AttrSet = [0usize, 1].into_iter().collect();
-        let mut state = CoverState::bootstrap(&r, attrs, Algorithm::Levelwise);
+        let mut state = CoverState::bootstrap(&r, attrs);
         let mut batch = DeltaBatch::new();
         batch
             .insert(vec![Value::Int(1), Value::Int(30), Value::Int(9)])
@@ -414,7 +416,7 @@ mod tests {
     #[test]
     fn chained_random_rounds_stay_current() {
         let mut r = rel();
-        let mut state = CoverState::bootstrap(&r, r.attr_set(), Algorithm::Levelwise);
+        let mut state = CoverState::bootstrap(&r, r.attr_set());
         let batches: Vec<DeltaBatch> = vec![
             {
                 let mut b = DeltaBatch::new();

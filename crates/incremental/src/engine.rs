@@ -477,8 +477,7 @@ impl MaintenanceEngine {
         // mining onward (kernel checks, cache traffic, miner timings).
         let obs = EngineObs::new(EngineObs::scoped_registry(), "maintenance");
         let _obs_scope = obs.registry.enter();
-        let states = bootstrap_states(&db, &spec, infine.config.base_algorithm)?;
-        let algorithm = infine.config.base_algorithm;
+        let states = bootstrap_states(&db, &spec)?;
         let base_fds: BaseFds = states
             .iter()
             .map(|s| (s.scope.label.clone(), s.cover.fds.clone()))
@@ -487,7 +486,7 @@ impl MaintenanceEngine {
         let cover = report.fd_set();
         let subquery_tables = subquery_table_index(&spec);
         let view = if mode == MaintenanceMode::CoverOnly {
-            bootstrap_backend(&db, &spec, algorithm, delete_policy, view_mode)
+            bootstrap_backend(&db, &spec, delete_policy, view_mode)
         } else {
             None
         };
@@ -536,7 +535,7 @@ impl MaintenanceEngine {
         // fleet is one logical engine.
         let obs = EngineObs::new(registry, "sharded");
         let _obs_scope = obs.registry.enter();
-        let states = bootstrap_states(&db, &spec, infine.config.base_algorithm)?;
+        let states = bootstrap_states(&db, &spec)?;
         let subquery_tables = subquery_table_index(&spec);
         Ok(MaintenanceEngine {
             infine,
@@ -682,13 +681,8 @@ impl MaintenanceEngine {
                 // must be compact (no-op unless fast tombstone rounds
                 // preceded a round-trip through exact mode).
                 self.compact_stored_tables();
-                self.view = bootstrap_backend(
-                    &self.db,
-                    &self.spec,
-                    self.infine.config.base_algorithm,
-                    self.delete_policy,
-                    self.view_mode,
-                );
+                self.view =
+                    bootstrap_backend(&self.db, &self.spec, self.delete_policy, self.view_mode);
             }
             MaintenanceMode::ExactProvenance => {
                 self.view = None;
@@ -1256,10 +1250,9 @@ impl MaintenanceEngine {
         // Stale states re-project from the stored tables, which must be
         // compact (tombstoned fast rounds leave them marked).
         self.compact_stored_tables();
-        let algorithm = self.infine.config.base_algorithm;
         for state in self.states.iter_mut() {
             if self.stale.remove(&state.scope.label) {
-                resync_state(state, &self.db, algorithm);
+                resync_state(state, &self.db);
             }
         }
         self.stale.clear();
@@ -1274,34 +1267,28 @@ impl MaintenanceEngine {
 fn bootstrap_backend(
     db: &Database,
     spec: &ViewSpec,
-    algorithm: infine_discovery::Algorithm,
     delete_policy: DeletePolicy,
     view_mode: ViewMode,
 ) -> Option<Box<dyn ViewBackend>> {
     if view_mode == ViewMode::JoinIndex {
-        if let Some(v) = VirtualView::bootstrap(db, spec, algorithm, delete_policy) {
+        if let Some(v) = VirtualView::bootstrap(db, spec, delete_policy) {
             return Some(Box::new(v));
         }
     }
-    ViewState::bootstrap(db, spec, algorithm, delete_policy)
-        .map(|v| Box::new(v) as Box<dyn ViewBackend>)
+    ViewState::bootstrap(db, spec, delete_policy).map(|v| Box::new(v) as Box<dyn ViewBackend>)
 }
 
 /// Mine the per-base-occurrence cover state of a view from scratch — the
 /// shared bootstrap block of every engine constructor (unsharded modes
 /// and the sharded service's fragment engines alike, so their base-state
 /// semantics cannot drift apart).
-fn bootstrap_states(
-    db: &Database,
-    spec: &ViewSpec,
-    algorithm: infine_discovery::Algorithm,
-) -> Result<Vec<BaseState>, MaintenanceError> {
+fn bootstrap_states(db: &Database, spec: &ViewSpec) -> Result<Vec<BaseState>, MaintenanceError> {
     Ok(base_scopes(db, spec)?
         .into_iter()
         .map(|scope| {
             let rel = scope.project(db);
             let attrs = rel.attr_set();
-            let cover = CoverState::bootstrap(&rel, attrs, algorithm);
+            let cover = CoverState::bootstrap(&rel, attrs);
             let dict_index = DictIndexes::build(&rel);
             let row_map = RowMap::identity(rel.nrows());
             BaseState {
@@ -1317,10 +1304,10 @@ fn bootstrap_states(
 
 /// Recompute a base state's scoped relation and cover from the current
 /// database (used when the incremental history was skipped).
-fn resync_state(state: &mut BaseState, db: &Database, algorithm: infine_discovery::Algorithm) {
+fn resync_state(state: &mut BaseState, db: &Database) {
     state.rel = state.scope.project(db);
     let attrs = state.rel.attr_set();
-    state.cover = CoverState::bootstrap(&state.rel, attrs, algorithm);
+    state.cover = CoverState::bootstrap(&state.rel, attrs);
     state.dict_index = DictIndexes::build(&state.rel);
     state.row_map.reset_identity(state.rel.nrows());
 }

@@ -381,7 +381,7 @@ pub(crate) fn restore_engine(
         }
         let covers = read_base_fds(&mut r).map_err(de)?;
         engines.push(MaintenanceEngine::restore_base_only(
-            InFine::new(infine.config),
+            InFine::default(),
             frag,
             spec.clone(),
             delete_policy,

@@ -43,8 +43,9 @@ pub(crate) struct CoverCell {
     /// Poison is ignored: the only write replaces the whole `Arc`, so
     /// the value is valid even if a lock holder panicked.
     current: RwLock<Arc<PublishedCovers>>,
-    /// Latest round the worker has *started* (drained into the engine);
-    /// `head - current.round` is the read lag the gauge reports.
+    /// Latest round the worker has *committed* (logged, or counted by an
+    /// in-memory service) but maybe not yet published; `head -
+    /// current.round` is the read lag the gauge reports.
     head: AtomicU64,
     /// `infine_reads_total` — one tick per `current()` call.
     reads: infine_obs::Counter,
@@ -69,9 +70,9 @@ impl CoverCell {
         }
     }
 
-    /// Record that the worker started round `round` (it is draining or
-    /// applying; the publish will follow). Readers report `head -
-    /// snapshot.round` as their lag.
+    /// Record that the worker committed round `round` (it is applying;
+    /// the publish will follow). Readers report `head - snapshot.round`
+    /// as their lag.
     pub(crate) fn note_head(&self, round: u64) {
         self.head.store(round, Ordering::Relaxed);
     }
@@ -129,7 +130,7 @@ impl CoverReader {
         snap
     }
 
-    /// Latest round the worker has started (drained); `head_round() -
+    /// Latest round the worker has committed; `head_round() -
     /// current().round` is how far a read lags the write frontier.
     pub fn head_round(&self) -> u64 {
         self.cell.head.load(Ordering::Relaxed)

@@ -113,7 +113,7 @@ use crate::persist;
 use crate::read::{CoverCell, CoverReader};
 use crate::shard::ShardedEngine;
 use infine_algebra::ViewSpec;
-use infine_core::{InFine, InFineConfig};
+use infine_core::InFine;
 use infine_durability::failpoint::ROUND_COMMIT;
 use infine_durability::{
     wal, DurabilityError, FailPoints, RetryPolicy, SnapshotPolicy, SnapshotStore, Wal,
@@ -147,7 +147,7 @@ fn dur(e: DurabilityError) -> MaintenanceError {
 
 /// Lock that shrugs off poisoning: the structures behind these mutexes
 /// (overflow inbox, drain signal) stay consistent even if a panicking
-/// thread held the guard, and the chaos soaks kill workers on purpose.
+/// thread held the guard, and the model test kills workers on purpose.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -444,7 +444,6 @@ struct DurableWorker {
 /// the worker dies ([`MaintenanceService::respawn`]).
 struct DurableContext {
     options: DurabilityOptions,
-    config: InFineConfig,
     spec: ViewSpec,
     respawns: infine_obs::Counter,
 }
@@ -800,7 +799,6 @@ impl MaintenanceService {
         let obs = ServiceObs::resolve();
         let context = DurableContext {
             options: options.clone(),
-            config: engine.infine.config,
             spec: engine.spec.clone(),
             respawns: obs.respawns.clone(),
         };
@@ -969,7 +967,6 @@ impl MaintenanceService {
         let vacuum_policy = policies.vacuum;
         let context = DurableContext {
             options: options.clone(),
-            config: infine.config,
             spec: spec.clone(),
             respawns: obs.respawns.clone(),
         };
@@ -1121,14 +1118,13 @@ impl MaintenanceService {
             let _ = worker.join();
         }
         let options = context.options.clone();
-        let config = context.config;
         let spec = context.spec.clone();
         let respawns = context.respawns.clone();
         let mut last = None;
         for _ in 0..ATTEMPTS {
             match MaintenanceService::recover_inner(
                 options.clone(),
-                InFine::new(config),
+                InFine::default(),
                 spec.clone(),
                 self.policies,
                 Some(Arc::clone(&self.covers)),
@@ -1675,6 +1671,9 @@ fn run(
             // committed to run (nothing after this can drop it).
             round_counter.set(round_counter.get() + 1);
         }
+        // The write frontier moved: readers lag until the publish. Only
+        // a committed round moves it, so a dropped one leaves no lag.
+        covers.note_head(round_counter.get());
         let mut result = engine.apply(&round);
         // Vacuum between rounds: commanded, or by policy threshold (the
         // latter suppressed while degraded — draining beats grooming).
@@ -1862,8 +1861,6 @@ fn run(
                 .drain()
                 .map(|(target, batch)| DeltaRelation::new(target, batch))
                 .collect();
-            // The write frontier moved: readers lag until the publish.
-            covers.note_head(round_counter.get() + 1);
             run_round(
                 &mut engine,
                 &mut durable,
@@ -1886,7 +1883,6 @@ fn run(
             .drain()
             .map(|(target, batch)| DeltaRelation::new(target, batch))
             .collect();
-        covers.note_head(round_counter.get() + 1);
         run_round(
             &mut engine,
             &mut durable,
@@ -2346,6 +2342,32 @@ mod tests {
             .discover(engine.database(), engine.spec())
             .unwrap();
         assert_eq!(engine.report().triples, fresh.triples);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dropped_round_leaves_no_read_lag() {
+        let registry = infine_obs::Registry::scoped();
+        let _scope = registry.enter();
+        let dir = tmpdir("drop-lag");
+        let mut fp = FailPoints::none();
+        fp.arm_err(infine_durability::failpoint::WAL_APPEND, 1, 10, false);
+        let engine = ShardedEngine::new(InFine::default(), db(), view(), 1).unwrap();
+        let service = MaintenanceService::spawn_durable(
+            engine,
+            VacuumPolicy::default(),
+            DurabilityOptions::new(&dir).failpoints(fp),
+        )
+        .unwrap();
+        service.ingest(insert_p(5)).unwrap();
+        let err = service.recv_report().unwrap().unwrap_err();
+        assert!(matches!(err, MaintenanceError::Durability(_)));
+        // Nothing committed, so nothing is pending for readers.
+        let reader = service.reader();
+        assert_eq!(reader.current().round, 0);
+        assert_eq!(reader.head_round(), 0);
+        assert_eq!(registry.snapshot().get("infine_read_round_lag"), Some(0.0));
+        drop(service);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -275,7 +275,8 @@ impl ShardRouter {
 /// triples, and per-FD classification are identical to the unsharded
 /// engine's — and to a fresh [`InFine::discover`] on the updated
 /// database. (The stateless one-shot equivalent of this read side is
-/// [`InFine::discover_sharded`].)
+/// [`merge_label_covers`] per label, then
+/// [`InFine::discover_incremental`].)
 pub struct ShardedEngine {
     pub(crate) infine: InFine,
     pub(crate) spec: ViewSpec,
@@ -390,13 +391,12 @@ impl ShardedEngine {
         // runs at bootstrap either — and in parallel, one pool task per
         // shard, like the rounds they will later run.
         let mut slots: Vec<Option<Database>> = fragments.into_iter().map(Some).collect();
-        let config = infine.config;
         let spec_ref = &spec;
         let registry_ref = &obs.registry;
         let mut engines = infine_exec::par_map_mut(&mut slots, |_, slot| {
             let frag = slot.take().expect("each fragment bootstraps once");
             MaintenanceEngine::new_base_only(
-                InFine::new(config),
+                InFine::default(),
                 frag,
                 spec_ref.clone(),
                 delete_policy,
@@ -418,7 +418,7 @@ impl ShardedEngine {
         let subquery_tables = subquery_table_index(&spec);
         let virtual_view = if view_mode == ViewMode::JoinIndex {
             // The mirror compacts every round, so its shadow does too.
-            VirtualView::bootstrap(&db, &spec, config.base_algorithm, DeletePolicy::Compact)
+            VirtualView::bootstrap(&db, &spec, DeletePolicy::Compact)
         } else {
             None
         };
@@ -742,8 +742,8 @@ impl ShardedEngine {
         stats
     }
 
-    /// One shard's fragment database (soak tests pin vacuumed fragments
-    /// byte-equal to from-scratch rebuilds).
+    /// One shard's fragment database (the model test pins vacuumed
+    /// fragments byte-equal to from-scratch rebuilds).
     pub fn shard_database(&self, shard: usize) -> &Database {
         self.shards[shard].database()
     }

@@ -34,7 +34,7 @@ use infine_algebra::{
     join_relations, joined_schema, resolve, resolve_join_conditions, select_rows, JoinOp,
     Predicate, ViewSpec,
 };
-use infine_discovery::{extend_seeds, mine_new_fds_via, Algorithm, Fd, FdSet, Validity};
+use infine_discovery::{extend_seeds, mine_new_fds_via, Fd, FdSet, Validity};
 use infine_partitions::{JoinProbe, Pli, ProbeSink};
 use infine_relation::{
     AppliedDelta, AttrId, AttrSet, Attribute, Column, Database, DeltaBatch, DictIndexes, Relation,
@@ -186,7 +186,6 @@ impl ViewState {
     pub fn bootstrap(
         db: &Database,
         spec: &ViewSpec,
-        algorithm: Algorithm,
         delete_policy: DeletePolicy,
     ) -> Option<ViewState> {
         if !supports(spec) {
@@ -199,7 +198,7 @@ impl ViewState {
             .filter(|&i| !root_rel.schema.name(i).starts_with("__rid_"))
             .collect();
         let visible: AttrSet = visible_ids.iter().copied().collect();
-        let cover = CoverState::bootstrap(root_rel, visible, algorithm);
+        let cover = CoverState::bootstrap(root_rel, visible);
         let base_rids = nodes
             .iter()
             .filter_map(|n| match &n.op {
@@ -1065,7 +1064,6 @@ impl VirtualView {
     pub fn bootstrap(
         db: &Database,
         spec: &ViewSpec,
-        _algorithm: Algorithm,
         delete_policy: DeletePolicy,
     ) -> Option<VirtualView> {
         Self::build(db, spec, delete_policy, None)
@@ -1724,8 +1722,7 @@ mod tests {
     #[test]
     fn bootstrap_matches_real_view() {
         let db = db();
-        let view = ViewState::bootstrap(&db, &spec(), Algorithm::Levelwise, DeletePolicy::Compact)
-            .unwrap();
+        let view = ViewState::bootstrap(&db, &spec(), DeletePolicy::Compact).unwrap();
         assert_view_current(&view, &db, &spec());
     }
 
@@ -1733,8 +1730,7 @@ mod tests {
     fn inserts_deletes_and_mixed_rounds_stay_current() {
         let mut db = db();
         let spec = spec();
-        let mut view =
-            ViewState::bootstrap(&db, &spec, Algorithm::Levelwise, DeletePolicy::Compact).unwrap();
+        let mut view = ViewState::bootstrap(&db, &spec, DeletePolicy::Compact).unwrap();
 
         // insert into p that joins twice
         let mut b = DeltaBatch::new();
@@ -1770,8 +1766,7 @@ mod tests {
             .select(Predicate::eq("flag", 0i64))
             .inner_join(ViewSpec::base("q"), &["pid"])
             .project(&["grp", "site"]);
-        let mut view =
-            ViewState::bootstrap(&db, &spec, Algorithm::Levelwise, DeletePolicy::Compact).unwrap();
+        let mut view = ViewState::bootstrap(&db, &spec, DeletePolicy::Compact).unwrap();
         assert_view_current(&view, &db, &spec);
 
         let mut b = DeltaBatch::new();
@@ -1791,8 +1786,7 @@ mod tests {
     fn delete_then_reinsert_same_key_gets_fresh_rid() {
         let mut db = db();
         let spec = spec();
-        let mut view =
-            ViewState::bootstrap(&db, &spec, Algorithm::Levelwise, DeletePolicy::Compact).unwrap();
+        let mut view = ViewState::bootstrap(&db, &spec, DeletePolicy::Compact).unwrap();
         // delete p row 0 (pid 1), then re-insert an identical row — the
         // fresh rid must not resurrect the dead view rows.
         let mut b = DeltaBatch::new();
@@ -1807,9 +1801,7 @@ mod tests {
     #[test]
     fn untouched_table_delta_is_none() {
         let db = db();
-        let mut view =
-            ViewState::bootstrap(&db, &spec(), Algorithm::Levelwise, DeletePolicy::Compact)
-                .unwrap();
+        let mut view = ViewState::bootstrap(&db, &spec(), DeletePolicy::Compact).unwrap();
         assert!(view.apply_table("unrelated", &DeltaBatch::new()).is_none());
         assert!(view.involves("p") && !view.involves("unrelated"));
     }
@@ -1877,9 +1869,7 @@ mod tests {
     #[test]
     fn virtual_bootstrap_matches_real_view() {
         let db = db();
-        let view =
-            VirtualView::bootstrap(&db, &spec(), Algorithm::Levelwise, DeletePolicy::Compact)
-                .unwrap();
+        let view = VirtualView::bootstrap(&db, &spec(), DeletePolicy::Compact).unwrap();
         assert_eq!(view.mode(), ViewMode::JoinIndex);
         assert_virtual_current(&view, &db, &spec());
     }
@@ -1888,9 +1878,7 @@ mod tests {
     fn virtual_mixed_rounds_stay_current() {
         let mut db = db();
         let spec = spec();
-        let mut view =
-            VirtualView::bootstrap(&db, &spec, Algorithm::Levelwise, DeletePolicy::Compact)
-                .unwrap();
+        let mut view = VirtualView::bootstrap(&db, &spec, DeletePolicy::Compact).unwrap();
 
         // insert into p that joins twice
         let mut b = DeltaBatch::new();
@@ -1926,9 +1914,7 @@ mod tests {
             .select(Predicate::eq("flag", 0i64))
             .inner_join(ViewSpec::base("q"), &["pid"])
             .project(&["grp", "site"]);
-        let mut view =
-            VirtualView::bootstrap(&db, &spec, Algorithm::Levelwise, DeletePolicy::Compact)
-                .unwrap();
+        let mut view = VirtualView::bootstrap(&db, &spec, DeletePolicy::Compact).unwrap();
         assert_virtual_current(&view, &db, &spec);
 
         let mut b = DeltaBatch::new();
@@ -1948,9 +1934,7 @@ mod tests {
     fn virtual_delete_then_reinsert_same_key_gets_fresh_rid() {
         let mut db = db();
         let spec = spec();
-        let mut view =
-            VirtualView::bootstrap(&db, &spec, Algorithm::Levelwise, DeletePolicy::Compact)
-                .unwrap();
+        let mut view = VirtualView::bootstrap(&db, &spec, DeletePolicy::Compact).unwrap();
         let mut b = DeltaBatch::new();
         b.delete(0);
         apply_both_virtual(&mut view, &mut db, "p", &b);
@@ -1964,9 +1948,7 @@ mod tests {
     fn virtual_tombstone_policy_and_vacuum() {
         let mut db = db();
         let spec = spec();
-        let mut view =
-            VirtualView::bootstrap(&db, &spec, Algorithm::Levelwise, DeletePolicy::Tombstone)
-                .unwrap();
+        let mut view = VirtualView::bootstrap(&db, &spec, DeletePolicy::Tombstone).unwrap();
         let mut b = DeltaBatch::new();
         b.delete(1)
             .insert(vec![Value::Int(2), Value::str("c"), Value::Int(1)]);
@@ -2006,9 +1988,7 @@ mod tests {
         let spec = ViewSpec::base("p")
             .inner_join(ViewSpec::base("q"), &["pid"])
             .inner_join(ViewSpec::base("r"), &["site"]);
-        let mut view =
-            VirtualView::bootstrap(&db, &spec, Algorithm::Levelwise, DeletePolicy::Compact)
-                .unwrap();
+        let mut view = VirtualView::bootstrap(&db, &spec, DeletePolicy::Compact).unwrap();
         assert_virtual_current(&view, &db, &spec);
 
         // drop a region row — every view row through site "y" disappears
@@ -2028,9 +2008,7 @@ mod tests {
     #[test]
     fn virtual_restore_skips_the_mine() {
         let db = db();
-        let fresh =
-            VirtualView::bootstrap(&db, &spec(), Algorithm::Levelwise, DeletePolicy::Compact)
-                .unwrap();
+        let fresh = VirtualView::bootstrap(&db, &spec(), DeletePolicy::Compact).unwrap();
         let restored = VirtualView::restore(
             &db,
             &spec(),

@@ -1,757 +1,42 @@
-//! Chaos soak (the overload-resilience tentpole's acceptance test):
-//! drive seeded churn through a durable [`MaintenanceService`] while a
-//! seeded adversary arms the fault-injection layer between rounds —
-//! injected crashes at every site, transient I/O errors the retry
-//! policy must absorb, fatal I/O errors that must drop exactly one
-//! round loudly, and slow-disk delays — and pin the surviving state
-//! **equal to an unfaulted reference run of the same stream**:
-//! provenance triples, merged cover, tombstone accounting, row
-//! payloads, and the classification digest of one extra probe round,
-//! on one representative view of each of the four datagen databases at
-//! 1, 2, and 4 shards. Every ingested round is accounted for: applied
-//! (Ok report), dropped (Err report, re-offered), or lost to a crash
-//! (re-fed from the recovery resume point) — nothing silent.
-//!
-//! Two companion soaks cover the overload and supervision layers:
-//! a burst soak that floods a `CoalesceInPlace` service with the whole
-//! stream at once under transient faults and delays (nothing shed,
-//! nothing lost, backlog folded per table), and a supervised soak where
-//! the worker is crashed repeatedly and the service self-heals through
-//! auto-respawn, driving the circuit breaker through open → half-open →
-//! closed while the producer resumes from [`RecoveryInfo`].
-//!
-//! Scale via `INFINE_SOAK_SCALE` (default 0.002) and round count via
-//! `INFINE_SOAK_ROUNDS` (default 20).
+//! Chaos slices of the service model: a durable service on one view of
+//! each datagen database where every second step arms a random fault (a
+//! crash at any site, a transient or fatal I/O error, or a slow disk) and
+//! runs the op that hits it. The survivor must equal the run that never
+//! faulted, and every ingested round is applied, dropped and re-offered,
+//! or lost and re-fed (`model/mod.rs`, invariants 5 and 6).
 
-use infine_core::InFine;
-use infine_datagen::{find, random_delta, Scale};
-use infine_discovery::same_fds;
-use infine_durability::failpoint::{ROUND_COMMIT, SNAPSHOT_WRITE, WAL_APPEND, WAL_APPEND_TORN};
-use infine_durability::{FailPoints, SnapshotPolicy};
-use infine_incremental::{
-    DeletePolicy, DurabilityOptions, IngestPolicy, InsertPolicy, MaintenanceEngine,
-    MaintenanceError, MaintenanceService, ServicePolicies, ShardedEngine, SupervisorPolicy,
-    VacuumPolicy, ViewMode,
-};
-use infine_relation::{DeltaBatch, DeltaRelation};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
+mod model;
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+use model::*;
 
-fn soak_rounds() -> usize {
-    std::env::var("INFINE_SOAK_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20)
-}
-
-fn soak_scale() -> Scale {
-    Scale::of(
-        std::env::var("INFINE_SOAK_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.002),
-    )
-}
-
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "infine-chaos-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// One random round, never empty (the lockstep soaks need every ingest
-/// to produce a round).
-fn random_round(
-    rng: &mut StdRng,
-    oracle: &MaintenanceEngine,
-    tables: &[String],
-    with_deletes: bool,
-) -> Vec<DeltaRelation> {
-    let mut round = Vec::new();
-    for t in tables {
-        match rng.gen_range(0..10u32) {
-            0 => {}
-            1 => round.push(DeltaRelation::new(t.clone(), DeltaBatch::new())),
-            _ => {
-                let rel = oracle.database().expect(t);
-                let max = (rel.nrows() / 20).max(3);
-                let deletes = if with_deletes {
-                    rng.gen_range(0..=max)
-                } else {
-                    0
-                };
-                let inserts = rng.gen_range(0..=max);
-                round.push(DeltaRelation::new(
-                    t.clone(),
-                    random_delta(rng, rel, deletes, inserts),
-                ));
-            }
-        }
-    }
-    if round.is_empty() {
-        round.push(DeltaRelation::new(tables[0].clone(), DeltaBatch::new()));
-    }
-    round
-}
-
-fn engine(
-    case_id: &str,
-    db: &infine_relation::Database,
-    spec: &infine_algebra::ViewSpec,
-    shards: usize,
-) -> ShardedEngine {
-    ShardedEngine::with_options(
-        InFine::default(),
-        db.clone(),
-        spec.clone(),
+fn chaos(case: &'static str, shards: usize, seed: u64) {
+    let cfg = Config {
+        case,
         shards,
-        InsertPolicy::default(),
-        DeletePolicy::Tombstone,
-        ViewMode::default(),
-    )
-    .unwrap_or_else(|e| panic!("{case_id}: {shards}-shard bootstrap failed: {e}"))
-}
-
-/// Feed the whole stream through a fault-free durable service in
-/// lockstep and return the final engine, canonicalized by one explicit
-/// vacuum.
-fn reference_run(
-    tag: &str,
-    eng: ShardedEngine,
-    options: DurabilityOptions,
-    vacuum: VacuumPolicy,
-    rounds: &[Vec<DeltaRelation>],
-) -> ShardedEngine {
-    let service = MaintenanceService::spawn_durable(eng, vacuum, options)
-        .unwrap_or_else(|e| panic!("{tag}: reference spawn failed: {e}"));
-    for (i, round) in rounds.iter().enumerate() {
-        service.ingest(round.clone()).unwrap();
-        service
-            .recv_report()
-            .unwrap_or_else(|| panic!("{tag}: reference round {i} lost"))
-            .unwrap_or_else(|e| panic!("{tag}: reference round {i} failed: {e}"));
-    }
-    service.vacuum().unwrap();
-    service.recv_report().unwrap().unwrap();
-    service.shutdown().unwrap()
-}
-
-/// Everything-at-rest equality: provenance triples, merged cover,
-/// tombstone accounting, row payloads. `strict_dict` compares the
-/// dictionary size too — only valid when both runs grouped the stream
-/// into the same rounds (coalescing an insert away before its delete
-/// means the value never enters the dictionary at all).
-fn assert_match(tag: &str, a: &ShardedEngine, b: &ShardedEngine, strict_dict: bool) {
-    assert_eq!(
-        a.report().triples,
-        b.report().triples,
-        "{tag}: triples diverged"
-    );
-    assert!(same_fds(&a.fd_set(), &b.fd_set()), "{tag}: covers diverged");
-    let (sa, sb) = (a.tombstone_stats(), b.tombstone_stats());
-    assert_eq!(sa.physical_rows, sb.physical_rows, "{tag}: physical rows");
-    assert_eq!(sa.live_rows, sb.live_rows, "{tag}: live rows");
-    if strict_dict {
-        assert_eq!(sa.dict_entries, sb.dict_entries, "{tag}: dict entries");
-    }
-    for name in a.database().names() {
-        let (rel, other) = (a.database().expect(name), b.database().expect(name));
-        assert_eq!(rel.nrows(), other.nrows(), "{tag}: {name} rows");
-        for r in 0..rel.nrows() {
-            assert_eq!(rel.row(r), other.row(r), "{tag}: {name} row {r}");
-        }
-    }
-}
-
-/// Sortable digest of one round report: triples plus per-FD
-/// classification (an engine that merely *looks* equal diverges here).
-type ReportDigest = (
-    Vec<infine_core::ProvenanceTriple>,
-    Vec<(
-        infine_discovery::Fd,
-        infine_core::FdKind,
-        String,
-        infine_incremental::FdStatus,
-    )>,
-    Vec<infine_discovery::Fd>,
-);
-
-fn digest(r: &infine_incremental::MaintenanceReport) -> ReportDigest {
-    let mut held: Vec<_> = r
-        .held
-        .iter()
-        .map(|(t, s)| (t.fd, t.kind, t.subquery.clone(), *s))
-        .collect();
-    held.sort();
-    let mut fresh = r.fresh.clone();
-    fresh.sort();
-    (r.triples.clone(), held, fresh)
-}
-
-/// What the adversary does to the round about to be ingested.
-#[derive(Debug, Clone, Copy)]
-enum Inject {
-    None,
-    /// Transient I/O errors the retry policy must absorb silently.
-    Transient {
-        site: &'static str,
-        times: u64,
-    },
-    /// A fatal I/O error on the commitlog append: this round must be
-    /// dropped with an Err report and succeed when re-offered.
-    Fatal,
-    /// A slow disk at one site; the round must still succeed.
-    Delay {
-        site: &'static str,
-        ms: u64,
-    },
-    /// An injected crash; the worker dies and is respawned from disk.
-    Crash {
-        site: &'static str,
-    },
-}
-
-/// Seeded injection schedule, at most `max_crashes` crashes, at least
-/// one (forced mid-stream if the dice never rolled one).
-fn chaos_plan(rng: &mut StdRng, n: usize, max_crashes: usize) -> Vec<Inject> {
-    let mut crashes = 0usize;
-    let mut plan: Vec<Inject> = (0..n)
-        .map(|_| match rng.gen_range(0..100u32) {
-            0..=54 => Inject::None,
-            55..=69 => Inject::Transient {
-                site: if rng.gen_bool(0.5) {
-                    WAL_APPEND
-                } else {
-                    SNAPSHOT_WRITE
-                },
-                times: rng.gen_range(1..=2),
-            },
-            70..=79 => Inject::Fatal,
-            80..=89 => Inject::Delay {
-                site: [WAL_APPEND, SNAPSHOT_WRITE, ROUND_COMMIT][rng.gen_range(0..3)],
-                ms: rng.gen_range(1..=10),
-            },
-            _ => {
-                if crashes < max_crashes {
-                    crashes += 1;
-                    Inject::Crash {
-                        site: [WAL_APPEND, WAL_APPEND_TORN, SNAPSHOT_WRITE, ROUND_COMMIT]
-                            [rng.gen_range(0..4)],
-                    }
-                } else {
-                    Inject::Delay {
-                        site: WAL_APPEND,
-                        ms: 2,
-                    }
-                }
-            }
-        })
-        .collect();
-    if crashes == 0 && n > 0 {
-        plan[n / 2] = Inject::Crash { site: WAL_APPEND };
-    }
-    plan
-}
-
-/// Feed the stream under the injection plan, reacting to whatever
-/// surfaces: Ok advances, a fatal drop re-offers the same round, a
-/// crash respawns from disk and resumes at the durable head. Returns
-/// the final engine plus the ledger (oks, drops, recoveries).
-fn chaos_run(
-    tag: &str,
-    eng: ShardedEngine,
-    options: DurabilityOptions,
-    plan: &[Inject],
-    rounds: &[Vec<DeltaRelation>],
-) -> (ShardedEngine, usize, usize, usize) {
-    // The FailPoints Arc must exist BEFORE the service clones the
-    // options, so live re-arming from this thread reaches the worker —
-    // and any respawned worker, which clones the same options. The
-    // zero-delay seed entry materializes the Arc harmlessly.
-    let mut fp = FailPoints::none();
-    fp.arm_delay(ROUND_COMMIT, 1, 1, 0);
-    let options = options.failpoints(fp.clone());
-    let mut service =
-        MaintenanceService::spawn_durable(eng, VacuumPolicy::at_fraction(0.5), options)
-            .unwrap_or_else(|e| panic!("{tag}: chaos spawn failed: {e}"));
-
-    let (mut oks, mut drops, mut recoveries) = (0usize, 0usize, 0usize);
-    let mut attempts = 0usize;
-    let mut i = 0usize;
-    // Arm each round's injection exactly once, on its first attempt —
-    // re-offers and re-feeds run uninjected (the schedule is per round
-    // of the stream, not per attempt).
-    let mut armed_upto = 0usize;
-    let mut iterations = 0usize;
-    while i < rounds.len() {
-        iterations += 1;
-        assert!(
-            iterations < rounds.len() * 10 + 100,
-            "{tag}: chaos loop is not converging (i={i}, oks={oks}, drops={drops}, recoveries={recoveries})"
-        );
-        if i >= armed_upto {
-            armed_upto = i + 1;
-            match plan[i] {
-                Inject::None => {}
-                Inject::Transient { site, times } => fp.arm_err(site, 1, times, true),
-                Inject::Fatal => fp.arm_err(WAL_APPEND, 1, 1, false),
-                Inject::Delay { site, ms } => fp.arm_delay(site, 1, 1, ms),
-                Inject::Crash { site } => fp.arm(site, 1),
-            }
-        }
-        let died = match service.ingest(rounds[i].clone()) {
-            Err(MaintenanceError::WorkerDied) => true,
-            Err(e) => panic!("{tag}: ingest {i} failed: {e}"),
-            Ok(()) => {
-                attempts += 1;
-                match service.recv_report_timeout(Duration::from_secs(60)) {
-                    Some(Ok(_)) => {
-                        oks += 1;
-                        i += 1;
-                        false
-                    }
-                    Some(Err(MaintenanceError::Durability(_))) => {
-                        // The injected fatal error dropped this round
-                        // loudly; the producer's stream position is
-                        // unchanged, so re-offer the same round.
-                        drops += 1;
-                        false
-                    }
-                    Some(Err(MaintenanceError::WorkerDied)) | None => true,
-                    Some(Err(e)) => panic!("{tag}: round {i} failed: {e}"),
-                }
-            }
-        };
-        if died {
-            while let Some(r) = service.try_recv_report() {
-                assert!(r.is_err(), "{tag}: Ok report after death");
-            }
-            // The respawn path publishes a fresh snapshot on THIS
-            // thread; neutralize any still-armed snapshot-site action so
-            // an injection meant for the worker cannot kill the test.
-            fp.arm_delay(SNAPSHOT_WRITE, 1, 1, 0);
-            let info = service
-                .respawn()
-                .unwrap_or_else(|e| panic!("{tag}: respawn failed: {e}"));
-            assert!(
-                !info.clean_shutdown,
-                "{tag}: a crash cannot look like a clean shutdown"
-            );
-            assert!(
-                info.durable_rounds as usize <= rounds.len(),
-                "{tag}: recovery invented rounds"
-            );
-            i = info.durable_rounds as usize;
-            recoveries += 1;
-        }
-    }
-    // The ledger must balance: every round that was actually queued
-    // ended as exactly one of applied, dropped, or lost to a crash.
-    let lost = attempts - oks - drops;
-    assert!(
-        lost <= recoveries,
-        "{tag}: {lost} rounds vanished without a matching recovery"
-    );
-    // The injection schedule is scoped to the stream: a leftover arm
-    // whose site was never hit again (a snapshot-write crash when no
-    // cut came due, say) must not fire during the canonicalizing
-    // vacuum or the clean-shutdown round. Overwrite every site with a
-    // harmless zero delay before the tail runs.
-    for site in [WAL_APPEND, WAL_APPEND_TORN, SNAPSHOT_WRITE, ROUND_COMMIT] {
-        fp.arm_delay(site, 1, 1, 0);
-    }
-    // Canonicalizing vacuum, healing through a worker that a leftover
-    // injection already killed at the very end of the stream.
-    let mut tail_tries = 0usize;
-    loop {
-        tail_tries += 1;
-        assert!(tail_tries <= 8, "{tag}: final vacuum never lands");
-        let sent = service.vacuum();
-        if sent.is_ok() {
-            match service.recv_report_timeout(Duration::from_secs(60)) {
-                Some(Ok(_)) => break,
-                Some(Err(MaintenanceError::Durability(_))) => continue,
-                Some(Err(MaintenanceError::WorkerDied)) | None => {}
-                Some(Err(e)) => panic!("{tag}: final vacuum failed: {e}"),
-            }
-        }
-        while let Some(r) = service.try_recv_report() {
-            assert!(r.is_err(), "{tag}: Ok report after death");
-        }
-        fp.arm_delay(SNAPSHOT_WRITE, 1, 1, 0);
-        service
-            .respawn()
-            .unwrap_or_else(|e| panic!("{tag}: tail respawn failed: {e}"));
-        recoveries += 1;
-    }
-    (service.shutdown().unwrap(), drops, recoveries, attempts)
-}
-
-fn chaos_soak(case_id: &str, seed: u64) {
-    let case = find(case_id).unwrap_or_else(|| panic!("unknown case {case_id}"));
-    let db = case.dataset.generate(soak_scale());
-    let n_rounds = soak_rounds();
-    let tables: Vec<String> = case
-        .spec
-        .base_tables()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut oracle = MaintenanceEngine::new(InFine::default(), db.clone(), case.spec.clone())
-        .unwrap_or_else(|e| panic!("{case_id}: oracle bootstrap failed: {e}"));
-    let mut rounds: Vec<Vec<DeltaRelation>> = Vec::with_capacity(n_rounds);
-    for i in 0..n_rounds {
-        let round = random_round(&mut rng, &oracle, &tables, true);
-        oracle
-            .apply(&round)
-            .unwrap_or_else(|e| panic!("{case_id}: oracle round {i} failed: {e}"));
-        rounds.push(round);
-    }
-    let probe = random_round(&mut rng, &oracle, &tables, true);
-
-    let policy = SnapshotPolicy::every_rounds(5);
-    for shards in SHARD_COUNTS {
-        let tag = format!("{case_id}/{shards}sh");
-        let ref_dir = tmpdir(&format!("{case_id}-{shards}-ref"));
-        let mut reference = reference_run(
-            &tag,
-            engine(case_id, &db, &case.spec, shards),
-            DurabilityOptions::new(&ref_dir).snapshot_policy(policy),
-            VacuumPolicy::at_fraction(0.5),
-            &rounds,
-        );
-
-        let mut plan_rng = StdRng::seed_from_u64(seed ^ 0xC4A0_5000 ^ shards as u64);
-        let plan = chaos_plan(&mut plan_rng, n_rounds, 3);
-        let dir = tmpdir(&format!("{case_id}-{shards}-chaos"));
-        let (mut survivor, drops, recoveries, attempts) = chaos_run(
-            &tag,
-            engine(case_id, &db, &case.spec, shards),
-            DurabilityOptions::new(&dir).snapshot_policy(policy),
-            &plan,
-            &rounds,
-        );
-        assert!(
-            recoveries >= 1,
-            "{tag}: the plan guarantees at least one crash"
-        );
-        assert!(
-            attempts >= n_rounds,
-            "{tag}: fewer attempts ({attempts}) than rounds"
-        );
-        let fatals = plan.iter().filter(|j| matches!(j, Inject::Fatal)).count();
-        assert!(
-            drops <= fatals,
-            "{tag}: more dropped rounds ({drops}) than injected fatal faults ({fatals})"
-        );
-        assert_match(&tag, &reference, &survivor, true);
-
-        // One shared probe round pins live classification behavior.
-        let want = digest(
-            &reference
-                .apply(&probe)
-                .unwrap_or_else(|e| panic!("{tag}: reference probe failed: {e}")),
-        );
-        let got = digest(
-            &survivor
-                .apply(&probe)
-                .unwrap_or_else(|e| panic!("{tag}: survivor probe failed: {e}")),
-        );
-        assert_eq!(got, want, "{tag}: probe round diverged");
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&ref_dir).unwrap();
-    }
+        ..SCRIPTED
+    };
+    slice(seed, cfg, 2, |m| {
+        let fault = Fault::draw(&mut m.rng);
+        m.fault(fault);
+    });
 }
 
 #[test]
 fn tpch_chaos_soak() {
-    chaos_soak("tpch_q2", 0xC4A0_0001);
+    chaos("tpch_q2", 1, 0xC4A0_0001);
 }
 
 #[test]
 fn mimic_chaos_soak() {
-    chaos_soak("mimic_q_patients_admissions", 0xC4A0_0002);
+    chaos("mimic_q_patients_admissions", 2, 0xC4A0_0002);
 }
 
 #[test]
 fn ptc_chaos_soak() {
-    chaos_soak("ptc_connected_bond", 0xC4A0_0003);
+    chaos("ptc_connected_bond", 4, 0xC4A0_0003);
 }
 
 #[test]
 fn pte_chaos_soak() {
-    chaos_soak("pte_atm_drug", 0xC4A0_0004);
-}
-
-/// Burst soak: the whole stream is offered at once to a
-/// `CoalesceInPlace` service while transient faults and slow-disk
-/// delays fire — nothing may be shed, nothing lost, and the folded
-/// backlog must converge to the lockstep reference state.
-#[test]
-fn overload_burst_soak_folds_backlog_without_loss() {
-    let registry = infine_obs::Registry::scoped();
-    let _scope = registry.enter();
-    let case = find("tpch_q2").unwrap();
-    let db = case.dataset.generate(soak_scale());
-    let n_rounds = soak_rounds();
-    let tables: Vec<String> = case
-        .spec
-        .base_tables()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    let mut rng = StdRng::seed_from_u64(0xC4A0_B057);
-    let mut oracle =
-        MaintenanceEngine::new(InFine::default(), db.clone(), case.spec.clone()).unwrap();
-    let mut rounds: Vec<Vec<DeltaRelation>> = Vec::with_capacity(n_rounds);
-    for _ in 0..n_rounds {
-        let round = random_round(&mut rng, &oracle, &tables, true);
-        oracle.apply(&round).unwrap();
-        rounds.push(round);
-    }
-    let total_batches: usize = rounds.iter().map(Vec::len).sum();
-
-    let ref_dir = tmpdir("burst-ref");
-    let reference = reference_run(
-        "burst",
-        engine("tpch_q2", &db, &case.spec, 2),
-        DurabilityOptions::new(&ref_dir).snapshot_policy(SnapshotPolicy::every_rounds(5)),
-        VacuumPolicy::default(),
-        &rounds,
-    );
-
-    let dir = tmpdir("burst-chaos");
-    let mut fp = FailPoints::none();
-    fp.arm_delay(ROUND_COMMIT, 1, 1, 0);
-    let policies = ServicePolicies::default().ingest(IngestPolicy::coalesce_in_place());
-    let service = MaintenanceService::spawn_durable_with_policies(
-        engine("tpch_q2", &db, &case.spec, 2),
-        DurabilityOptions::new(&dir)
-            .snapshot_policy(SnapshotPolicy::every_rounds(5))
-            .failpoints(fp.clone()),
-        policies,
-    )
-    .unwrap();
-    // Flood: every round at once. The coalescing worker folds the
-    // backlog into a handful of big rounds, so the transient faults are
-    // armed ONCE, up front, on the first commitlog append — three
-    // consecutive errors, inside the default retry budget of four
-    // attempts — plus slow snapshot writes sprinkled mid-burst. (Arming
-    // per iteration at one site would just overwrite itself faster than
-    // the worker can hit it.)
-    fp.arm_err(WAL_APPEND, 1, 3, true);
-    for (i, round) in rounds.iter().enumerate() {
-        if i % 7 == 3 {
-            fp.arm_delay(SNAPSHOT_WRITE, 1, 1, 2);
-        }
-        service.ingest(round.clone()).unwrap();
-    }
-    // Everything admitted must drain.
-    let t0 = Instant::now();
-    loop {
-        let stats = service.stats();
-        if stats.queue_depth == 0 && stats.in_flight == 0 {
-            break;
-        }
-        assert!(
-            t0.elapsed() < Duration::from_secs(120),
-            "burst backlog never drained: {stats:?}"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // Every report must be an Ok — transient faults are absorbed, and
-    // nothing was ever shed or rejected.
-    while let Some(r) = service.try_recv_report() {
-        r.unwrap_or_else(|e| panic!("burst round failed: {e}"));
-    }
-    service.vacuum().unwrap();
-    service.recv_report().unwrap().unwrap();
-    let survivor = service.shutdown().unwrap();
-    assert_match("burst", &reference, &survivor, false);
-
-    let snap = registry.snapshot();
-    assert_eq!(snap.get("infine_service_shed_total"), Some(0.0));
-    assert_eq!(snap.get("infine_service_rejected_total"), Some(0.0));
-    // Both runs accept every batch; the burst run additionally folds.
-    assert_eq!(
-        snap.get("infine_service_batches_total"),
-        Some(2.0 * total_batches as f64),
-        "every offered batch is accepted exactly once per run"
-    );
-    assert!(
-        snap.get("infine_retry_attempts_total").unwrap_or(0.0) > 0.0,
-        "the armed transient faults must have been absorbed by retry"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&ref_dir).unwrap();
-}
-
-/// Supervised soak: crash the worker repeatedly under an insert-only
-/// stream and let the service heal itself — auto-respawn with backoff,
-/// breaker open → half-open probe → closed — while the producer resumes
-/// from the durable head after every death.
-#[test]
-fn supervised_soak_self_heals_through_the_breaker() {
-    let registry = infine_obs::Registry::scoped();
-    let _scope = registry.enter();
-    let case = find("tpch_q2").unwrap();
-    let db = case.dataset.generate(soak_scale());
-    let n_rounds = soak_rounds();
-    let tables: Vec<String> = case
-        .spec
-        .base_tables()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    let mut rng = StdRng::seed_from_u64(0xC4A0_5EEF);
-    let mut oracle =
-        MaintenanceEngine::new(InFine::default(), db.clone(), case.spec.clone()).unwrap();
-    // Insert-only: automatic respawn is only safe for streams the
-    // producer can re-derive from the resume point, and an insert-only
-    // feed re-offers verbatim.
-    let mut rounds: Vec<Vec<DeltaRelation>> = Vec::with_capacity(n_rounds);
-    for _ in 0..n_rounds {
-        let round = random_round(&mut rng, &oracle, &tables, false);
-        oracle.apply(&round).unwrap();
-        rounds.push(round);
-    }
-
-    let ref_dir = tmpdir("sup-ref");
-    let reference = reference_run(
-        "supervised",
-        engine("tpch_q2", &db, &case.spec, 2),
-        DurabilityOptions::new(&ref_dir).snapshot_policy(SnapshotPolicy::every_rounds(5)),
-        VacuumPolicy::default(),
-        &rounds,
-    );
-
-    let dir = tmpdir("sup-chaos");
-    let mut fp = FailPoints::none();
-    fp.arm_delay(ROUND_COMMIT, 1, 1, 0);
-    let policies = ServicePolicies::default().supervisor(
-        SupervisorPolicy::auto()
-            .respawn_backoff(Duration::from_millis(1))
-            .breaker(3, Duration::from_secs(30), Duration::from_millis(30)),
-    );
-    let service = MaintenanceService::spawn_durable_with_policies(
-        engine("tpch_q2", &db, &case.spec, 2),
-        DurabilityOptions::new(&dir)
-            .snapshot_policy(SnapshotPolicy::every_rounds(5))
-            .failpoints(fp.clone()),
-        policies,
-    )
-    .unwrap();
-
-    // Crash every third round, cycling the sites that fire on the
-    // worker thread (never SNAPSHOT_WRITE: the respawn path publishes
-    // on the producer thread and must survive).
-    let crash_sites = [WAL_APPEND, ROUND_COMMIT, WAL_APPEND_TORN];
-    let mut crashes = 0usize;
-    let mut breaker_opens_seen = 0usize;
-    let mut i = 0usize;
-    let mut armed_upto = 0usize;
-    let mut iterations = 0usize;
-    // Heal flushes are logged WAL rounds too, so the recovered
-    // `durable_rounds` counts stream rounds PLUS every flush that
-    // landed — subtract them to translate back to a stream position.
-    let mut extra_logged = 0usize;
-    while i < rounds.len() {
-        iterations += 1;
-        assert!(
-            iterations < rounds.len() * 20 + 200,
-            "supervised loop is not converging (i={i}, crashes={crashes})"
-        );
-        if i >= armed_upto {
-            armed_upto = i + 1;
-            if i % 3 == 2 {
-                fp.arm(crash_sites[crashes % crash_sites.len()], 1);
-                crashes += 1;
-            }
-        }
-        match service.ingest(rounds[i].clone()) {
-            Ok(()) => {}
-            Err(MaintenanceError::BreakerOpen) => {
-                breaker_opens_seen += 1;
-                std::thread::sleep(Duration::from_millis(40));
-                continue;
-            }
-            Err(e) => panic!("supervised ingest {i} failed: {e}"),
-        }
-        match service.recv_report_timeout(Duration::from_secs(60)) {
-            Some(Ok(_)) => {
-                if let Some(info) = service.take_recovery_info() {
-                    // The only transparent respawn reachable in this
-                    // lockstep is gap-free (the crashed round was never
-                    // made durable, so the recovered head IS the stream
-                    // position the round just ran against).
-                    assert_eq!(
-                        info.durable_rounds as usize - extra_logged,
-                        i,
-                        "transparent respawn left a stream gap"
-                    );
-                }
-                i += 1;
-            }
-            Some(Err(MaintenanceError::WorkerDied)) | None => {
-                // Death surfaced on the report channel. Heal through a
-                // CONTENT-FREE request — a crashed round may already be
-                // durable (death after commit, before the report), so
-                // blindly re-ingesting it would apply it twice. The
-                // flush triggers the supervised respawn, its RecoveryInfo
-                // gives the durable head, and the stream resumes there.
-                loop {
-                    match service.flush() {
-                        Ok(()) => break,
-                        Err(MaintenanceError::BreakerOpen) => {
-                            breaker_opens_seen += 1;
-                            std::thread::sleep(Duration::from_millis(40));
-                        }
-                        Err(e) => panic!("supervised heal flush failed: {e}"),
-                    }
-                }
-                service
-                    .recv_report_timeout(Duration::from_secs(60))
-                    .expect("flush round report")
-                    .expect("flush round after heal");
-                let info = service
-                    .take_recovery_info()
-                    .expect("the heal flush respawned a dead worker");
-                i = info.durable_rounds as usize - extra_logged;
-                extra_logged += 1;
-            }
-            Some(Err(e)) => panic!("supervised round {i} failed: {e}"),
-        }
-    }
-    service.vacuum().unwrap();
-    service.recv_report().unwrap().unwrap();
-    let survivor = service.shutdown().unwrap();
-
-    assert!(crashes >= 3, "the schedule injects at least three crashes");
-    assert!(
-        breaker_opens_seen > 0,
-        "three deaths inside the window must open the breaker at least once"
-    );
-    let snap = registry.snapshot();
-    assert!(
-        snap.get("infine_service_respawns_total").unwrap_or(0.0) >= 1.0,
-        "self-healing must have respawned the worker"
-    );
-    assert_eq!(
-        snap.get("infine_service_breaker_state"),
-        Some(0.0),
-        "a completed stream means the breaker ended closed"
-    );
-    assert_match("supervised", &reference, &survivor, true);
-    std::fs::remove_dir_all(&dir).unwrap();
-    std::fs::remove_dir_all(&ref_dir).unwrap();
+    chaos("pte_atm_drug", 1, 0xC4A0_0004);
 }

@@ -1,346 +1,48 @@
-//! Kill-and-recover soak (the durability tentpole's acceptance test):
-//! for every crash site the fault-injection layer knows — before a WAL
-//! append, mid-append with a torn record on disk, after the snapshot
-//! temp write but before the rename, after a round commits but before
-//! its report — arm the failpoint, drive ≥20 seeded churn rounds through
-//! a durable [`MaintenanceService`], let the worker die, respawn it from
-//! snapshot + commitlog, re-feed exactly the rounds [`RecoveryInfo`]
-//! says were lost, and pin the recovered state **equal to a
-//! never-crashed run of the same stream**: provenance triples, merged
-//! cover, tombstone accounting, per-table row payloads, and the full
-//! report of one extra probe round — on one representative view of each
-//! of the four datagen databases at 1, 2, and 4 shards.
-//!
-//! Scale via `INFINE_SOAK_SCALE` (default 0.002) and round count via
-//! `INFINE_SOAK_ROUNDS` (default 20, the issue's floor).
+//! Kill-and-recover slices of the service model: a durable service on
+//! one view of each datagen database where every second step crashes the
+//! worker at the next of the five failpoint sites in turn. Each crash is
+//! healed from snapshot and commitlog, and the recovered state must equal
+//! the run that never crashed: triples, cover, tombstone accounting, row
+//! payloads and one probe round (`model/mod.rs`, invariants 5 and 6).
 
-use infine_core::InFine;
-use infine_datagen::{find, random_delta, Scale};
-use infine_discovery::same_fds;
-use infine_durability::failpoint::{
-    DIR_FSYNC, ROUND_COMMIT, SNAPSHOT_WRITE, WAL_APPEND, WAL_APPEND_TORN,
-};
-use infine_durability::{FailPoints, SnapshotPolicy};
-use infine_incremental::{
-    DeletePolicy, DurabilityOptions, InsertPolicy, MaintenanceEngine, MaintenanceError,
-    MaintenanceService, ShardedEngine, VacuumPolicy, ViewMode,
-};
-use infine_relation::{DeltaBatch, DeltaRelation};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+mod model;
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+use model::*;
+use std::cell::Cell;
 
-/// (site, nth hit that fires). The hit cadence differs per site — WAL
-/// and commit sites hit once per round, the snapshot site once per cut
-/// (including the baseline cut on the spawning thread, which must
-/// survive) — so each lands mid-stream. The dir-fsync site hits twice
-/// at spawn (baseline publish, then segment creation — both must
-/// survive), so its third hit is the first policy cut's publish: the
-/// crash lands after the snapshot rename but before the directory
-/// entry is durable.
-const CRASH_SITES: [(&str, u64); 5] = [
-    (WAL_APPEND, 10),
-    (WAL_APPEND_TORN, 10),
-    (SNAPSHOT_WRITE, 2),
-    (ROUND_COMMIT, 10),
-    (DIR_FSYNC, 3),
-];
-
-fn soak_rounds() -> usize {
-    std::env::var("INFINE_SOAK_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20)
-}
-
-fn soak_scale() -> Scale {
-    Scale::of(
-        std::env::var("INFINE_SOAK_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.002),
-    )
-}
-
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "infine-recsoak-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// One random round, never empty (the soak's ingest→report lockstep
-/// needs every ingest to produce a round).
-fn random_round(
-    rng: &mut StdRng,
-    oracle: &MaintenanceEngine,
-    tables: &[String],
-) -> Vec<DeltaRelation> {
-    let mut round = Vec::new();
-    for t in tables {
-        match rng.gen_range(0..10u32) {
-            0 => {}
-            1 => round.push(DeltaRelation::new(t.clone(), DeltaBatch::new())),
-            _ => {
-                let rel = oracle.database().expect(t);
-                let max = (rel.nrows() / 20).max(3);
-                let deletes = rng.gen_range(0..=max);
-                let inserts = rng.gen_range(0..=max);
-                round.push(DeltaRelation::new(
-                    t.clone(),
-                    random_delta(rng, rel, deletes, inserts),
-                ));
-            }
-        }
-    }
-    if round.is_empty() {
-        round.push(DeltaRelation::new(tables[0].clone(), DeltaBatch::new()));
-    }
-    round
-}
-
-fn engine(
-    case_id: &str,
-    db: &infine_relation::Database,
-    spec: &infine_algebra::ViewSpec,
-    shards: usize,
-) -> ShardedEngine {
-    ShardedEngine::with_options(
-        InFine::default(),
-        db.clone(),
-        spec.clone(),
+fn recovery(case: &'static str, shards: usize, seed: u64) {
+    let cfg = Config {
+        case,
         shards,
-        InsertPolicy::default(),
-        DeletePolicy::Tombstone,
-        ViewMode::default(),
-    )
-    .unwrap_or_else(|e| panic!("{case_id}: {shards}-shard bootstrap failed: {e}"))
-}
-
-/// Feed the whole stream through a durable service, crash-free, and
-/// return the final engine (explicit vacuum + flush first, so tombstone
-/// accounting is canonical for the comparison).
-fn reference_run(
-    case_id: &str,
-    eng: ShardedEngine,
-    options: DurabilityOptions,
-    rounds: &[Vec<DeltaRelation>],
-) -> ShardedEngine {
-    let service = MaintenanceService::spawn_durable(eng, VacuumPolicy::at_fraction(0.5), options)
-        .unwrap_or_else(|e| panic!("{case_id}: durable spawn failed: {e}"));
-    for (i, round) in rounds.iter().enumerate() {
-        service.ingest(round.clone()).unwrap();
-        service
-            .recv_report()
-            .unwrap_or_else(|| panic!("{case_id}: reference round {i} lost"))
-            .unwrap_or_else(|e| panic!("{case_id}: reference round {i} failed: {e}"));
-    }
-    service.vacuum().unwrap();
-    service.recv_report().unwrap().unwrap();
-    service.shutdown().unwrap()
-}
-
-/// Feed the same stream with one failpoint armed; on worker death,
-/// respawn from disk and re-feed exactly the rounds recovery reports as
-/// lost. Panics if the stream cannot complete.
-fn crash_run(
-    case_id: &str,
-    site: &str,
-    eng: ShardedEngine,
-    options: DurabilityOptions,
-    rounds: &[Vec<DeltaRelation>],
-) -> (ShardedEngine, usize) {
-    let mut service =
-        MaintenanceService::spawn_durable(eng, VacuumPolicy::at_fraction(0.5), options)
-            .unwrap_or_else(|e| panic!("{case_id}/{site}: durable spawn failed: {e}"));
-    let mut recoveries = 0usize;
-    let mut i = 0usize;
-    while i < rounds.len() {
-        let died = match service.ingest(rounds[i].clone()) {
-            Err(MaintenanceError::WorkerDied) => true,
-            Err(e) => panic!("{case_id}/{site}: ingest {i} failed: {e}"),
-            Ok(()) => match service.recv_report() {
-                Some(Ok(_)) => {
-                    i += 1;
-                    false
-                }
-                Some(Err(MaintenanceError::WorkerDied)) | None => true,
-                Some(Err(e)) => panic!("{case_id}/{site}: round {i} failed: {e}"),
-            },
-        };
-        if died {
-            // Drain the death notice if it has not surfaced yet, then
-            // rebuild from snapshot + commitlog and resume the stream
-            // exactly where durability says it is.
-            while let Some(r) = service.try_recv_report() {
-                assert!(r.is_err(), "{case_id}/{site}: report after death");
-            }
-            let info = service
-                .respawn()
-                .unwrap_or_else(|e| panic!("{case_id}/{site}: respawn failed: {e}"));
-            assert!(
-                !info.clean_shutdown,
-                "{case_id}/{site}: a crash cannot look like a clean shutdown"
-            );
-            assert!(
-                info.durable_rounds as usize <= rounds.len(),
-                "{case_id}/{site}: recovery invented rounds"
-            );
-            i = info.durable_rounds as usize;
-            recoveries += 1;
-            assert!(
-                recoveries <= CRASH_SITES.len(),
-                "{case_id}/{site}: worker keeps dying"
-            );
-        }
-    }
-    service.vacuum().unwrap();
-    service.recv_report().unwrap().unwrap();
-    (service.shutdown().unwrap(), recoveries)
-}
-
-/// Recovered-vs-reference equality on everything at rest: provenance
-/// triples, merged cover, tombstone accounting, row payloads.
-fn assert_static_match(tag: &str, a: &ShardedEngine, b: &ShardedEngine) {
-    assert_eq!(
-        a.report().triples,
-        b.report().triples,
-        "{tag}: triples diverged"
-    );
-    assert!(same_fds(&a.fd_set(), &b.fd_set()), "{tag}: covers diverged");
-    let (sa, sb) = (a.tombstone_stats(), b.tombstone_stats());
-    assert_eq!(sa.physical_rows, sb.physical_rows, "{tag}: physical rows");
-    assert_eq!(sa.live_rows, sb.live_rows, "{tag}: live rows");
-    assert_eq!(sa.dict_entries, sb.dict_entries, "{tag}: dict entries");
-    for name in a.database().names() {
-        let (rel, other) = (a.database().expect(name), b.database().expect(name));
-        assert_eq!(rel.nrows(), other.nrows(), "{tag}: {name} rows");
-        for r in 0..rel.nrows() {
-            assert_eq!(rel.row(r), other.row(r), "{tag}: {name} row {r}");
-        }
-    }
-}
-
-/// Sortable digest of one round report: triples plus the per-FD
-/// classification (an engine that merely *looks* equal diverges here).
-type ReportDigest = (
-    Vec<infine_core::ProvenanceTriple>,
-    Vec<(
-        infine_discovery::Fd,
-        infine_core::FdKind,
-        String,
-        infine_incremental::FdStatus,
-    )>,
-    Vec<infine_discovery::Fd>,
-);
-
-fn digest(r: &infine_incremental::MaintenanceReport) -> ReportDigest {
-    let mut held: Vec<_> = r
-        .held
-        .iter()
-        .map(|(t, s)| (t.fd, t.kind, t.subquery.clone(), *s))
-        .collect();
-    held.sort();
-    let mut fresh = r.fresh.clone();
-    fresh.sort();
-    (r.triples.clone(), held, fresh)
-}
-
-fn soak(case_id: &str, seed: u64) {
-    let case = find(case_id).unwrap_or_else(|| panic!("unknown case {case_id}"));
-    let db = case.dataset.generate(soak_scale());
-    let n_rounds = soak_rounds();
-    let tables: Vec<String> = case
-        .spec
-        .base_tables()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-
-    // Pre-generate one identical stream for every run: an oracle engine
-    // tracks the logical row-id space the generator addresses.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut oracle = MaintenanceEngine::new(InFine::default(), db.clone(), case.spec.clone())
-        .unwrap_or_else(|e| panic!("{case_id}: oracle bootstrap failed: {e}"));
-    let mut rounds: Vec<Vec<DeltaRelation>> = Vec::with_capacity(n_rounds);
-    for i in 0..n_rounds {
-        let round = random_round(&mut rng, &oracle, &tables);
-        oracle
-            .apply(&round)
-            .unwrap_or_else(|e| panic!("{case_id}: oracle round {i} failed: {e}"));
-        rounds.push(round);
-    }
-    let probe = random_round(&mut rng, &oracle, &tables);
-
-    let policy = SnapshotPolicy::every_rounds(5);
-    for shards in SHARD_COUNTS {
-        let ref_dir = tmpdir(&format!("{case_id}-{shards}-ref"));
-        let mut reference = reference_run(
-            case_id,
-            engine(case_id, &db, &case.spec, shards),
-            DurabilityOptions::new(&ref_dir).snapshot_policy(policy),
-            &rounds,
-        );
-        let mut survivors: Vec<(String, ShardedEngine)> = Vec::new();
-        for (site, nth) in CRASH_SITES {
-            let tag = format!("{case_id}/{shards}sh/{site}");
-            let dir = tmpdir(&format!("{case_id}-{shards}-{site}"));
-            let mut fp = FailPoints::none();
-            fp.arm(site, nth);
-            let (recovered, recoveries) = crash_run(
-                case_id,
-                site,
-                engine(case_id, &db, &case.spec, shards),
-                DurabilityOptions::new(&dir)
-                    .snapshot_policy(policy)
-                    .failpoints(fp),
-                &rounds,
-            );
-            assert_eq!(recoveries, 1, "{tag}: expected exactly one injected crash");
-            assert_static_match(&tag, &reference, &recovered);
-            survivors.push((tag, recovered));
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-        // One shared probe round, applied to reference and every
-        // survivor alike, pins live classification behavior too.
-        let want = digest(
-            &reference
-                .apply(&probe)
-                .unwrap_or_else(|e| panic!("{case_id}/{shards}sh: reference probe failed: {e}")),
-        );
-        for (tag, mut recovered) in survivors {
-            let got = digest(
-                &recovered
-                    .apply(&probe)
-                    .unwrap_or_else(|e| panic!("{tag}: probe failed: {e}")),
-            );
-            assert_eq!(got, want, "{tag}: probe round diverged");
-        }
-        std::fs::remove_dir_all(&ref_dir).unwrap();
+        ..SCRIPTED
+    };
+    let next = Cell::new(0);
+    let coverage = slice(seed, cfg, 2, |m| {
+        let site = SITES[next.replace(next.get() + 1) % SITES.len()];
+        m.fault(Fault::Crash(site));
+    });
+    for site in SITES {
+        let key = format!("crash at {site}");
+        assert!(coverage.contains_key(&key), "never reached: {key}");
     }
 }
 
 #[test]
 fn tpch_recovery_soak() {
-    soak("tpch_q2", 0x7AC0_0001);
+    recovery("tpch_q2", 2, 0x7AC0_0001);
 }
 
 #[test]
 fn mimic_recovery_soak() {
-    soak("mimic_q_patients_admissions", 0x7AC0_0002);
+    recovery("mimic_q_patients_admissions", 4, 0x7AC0_0002);
 }
 
 #[test]
 fn ptc_recovery_soak() {
-    soak("ptc_connected_bond", 0x7AC0_0003);
+    recovery("ptc_connected_bond", 1, 0x7AC0_0003);
 }
 
 #[test]
 fn pte_recovery_soak() {
-    soak("pte_atm_drug", 0x7AC0_0004);
+    recovery("pte_atm_drug", 2, 0x7AC0_0004);
 }

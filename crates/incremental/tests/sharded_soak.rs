@@ -1,174 +1,46 @@
-//! Randomized churn soak (satellite of the sharded-maintenance PR): ≥20
-//! seeded random delta rounds — mixed inserts/deletes, varying batch
-//! sizes, occasional empty batches, occasionally skipped tables — on one
-//! representative view of each of the four datagen databases, pinning
-//! after **every** round that the sharded engine (at 1, 2, and 4 shards)
-//! produces the same merged cover, the same provenance triples, and the
-//! same per-FD round classification as the unsharded engine — and that
-//! both equal full `InFine::discover` re-discovery, triple for triple.
-//!
-//! Scale via `INFINE_SOAK_SCALE` (default 0.002) and round count via
-//! `INFINE_SOAK_ROUNDS` (default 20, the satellite's floor) so CI can
-//! turn the knob without touching the seed.
+//! Sharding slices of the service model: an in-memory service on one
+//! view of each datagen database, at 2 and then 4 shards, driven
+//! by mixed churn rounds (inserts and deletes, empty batches, skipped
+//! tables). After every step the sharded engine equals the unsharded one
+//! in cover, triples and per-FD classification, and both equal full
+//! `InFine::discover` re-discovery (`model/mod.rs`, invariants 1 and 2).
+//! One shard, where the sharded engine is a single fragment, runs on a
+//! third of the `service_model` seeds.
 
-use infine_core::InFine;
-use infine_datagen::{find, random_delta, Scale};
-use infine_discovery::same_fds;
-use infine_incremental::{MaintenanceEngine, MaintenanceReport, ShardedEngine};
-use infine_relation::{DeltaBatch, DeltaRelation};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+mod model;
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+use infine_incremental::DeletePolicy;
+use model::*;
 
-fn soak_rounds() -> usize {
-    std::env::var("INFINE_SOAK_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20)
-}
-
-fn soak_scale() -> Scale {
-    Scale::of(
-        std::env::var("INFINE_SOAK_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.002),
-    )
-}
-
-/// One random round: per base table, usually a mixed batch sized by a
-/// per-round dice roll, sometimes an explicitly empty batch, sometimes no
-/// batch at all.
-fn random_round(
-    rng: &mut StdRng,
-    engine: &MaintenanceEngine,
-    tables: &[String],
-) -> Vec<DeltaRelation> {
-    let mut round = Vec::new();
-    for t in tables {
-        match rng.gen_range(0..10u32) {
-            0 => {}                                                            // table skipped this round
-            1 => round.push(DeltaRelation::new(t.clone(), DeltaBatch::new())), // empty batch
-            _ => {
-                let rel = engine.database().expect(t);
-                let max = (rel.nrows() / 20).max(3);
-                let deletes = rng.gen_range(0..=max);
-                let inserts = rng.gen_range(0..=max);
-                round.push(DeltaRelation::new(
-                    t.clone(),
-                    random_delta(rng, rel, deletes, inserts),
-                ));
-            }
-        }
-    }
-    round
-}
-
-/// The equality the tentpole pins: cover, triples, and per-FD round
-/// classification all agree between the sharded and unsharded reports.
-fn assert_reports_match(
-    case: &str,
-    shards: usize,
-    round: usize,
-    a: &MaintenanceReport,
-    b: &MaintenanceReport,
-) {
-    assert_eq!(
-        a.triples, b.triples,
-        "{case}: sharded({shards}) triples diverged at round {round}"
-    );
-    assert!(
-        same_fds(&a.cover, &b.cover),
-        "{case}: sharded({shards}) cover diverged at round {round}"
-    );
-    let classify = |r: &MaintenanceReport| {
-        let mut held: Vec<_> = r
-            .held
-            .iter()
-            .map(|(t, s)| (t.fd, t.kind, t.subquery.clone(), *s))
-            .collect();
-        held.sort();
-        let mut fresh = r.fresh.clone();
-        fresh.sort();
-        (held, fresh)
-    };
-    assert_eq!(
-        classify(a),
-        classify(b),
-        "{case}: sharded({shards}) classification diverged at round {round}"
-    );
-}
-
-fn soak(case_id: &str, seed: u64) {
-    let case = find(case_id).unwrap_or_else(|| panic!("unknown case {case_id}"));
-    let db = case.dataset.generate(soak_scale());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rounds = soak_rounds();
-
-    let mut unsharded = MaintenanceEngine::new(InFine::default(), db.clone(), case.spec.clone())
-        .unwrap_or_else(|e| panic!("{case_id}: unsharded bootstrap failed: {e}"));
-    let mut sharded: Vec<ShardedEngine> = SHARD_COUNTS
-        .iter()
-        .map(|&n| {
-            ShardedEngine::new(InFine::default(), db.clone(), case.spec.clone(), n)
-                .unwrap_or_else(|e| panic!("{case_id}: {n}-shard bootstrap failed: {e}"))
-        })
-        .collect();
-    for (n, eng) in SHARD_COUNTS.iter().zip(&sharded) {
-        assert_eq!(
-            eng.report().triples,
-            unsharded.report().triples,
-            "{case_id}: {n}-shard bootstrap diverged"
-        );
-    }
-
-    let tables: Vec<String> = case
-        .spec
-        .base_tables()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    for round in 0..rounds {
-        let deltas = random_round(&mut rng, &unsharded, &tables);
-        let reference = unsharded
-            .apply(&deltas)
-            .unwrap_or_else(|e| panic!("{case_id}: unsharded round {round} failed: {e}"));
-        for (&n, eng) in SHARD_COUNTS.iter().zip(sharded.iter_mut()) {
-            let report = eng
-                .apply(&deltas)
-                .unwrap_or_else(|e| panic!("{case_id}: {n}-shard round {round} failed: {e}"));
-            assert_reports_match(case_id, n, round, &report, &reference);
-        }
-        // ... and the maintained state equals full re-discovery on the
-        // updated database, triple for triple — every round.
-        let full = InFine::default()
-            .discover(unsharded.database(), &case.spec)
-            .unwrap_or_else(|e| panic!("{case_id}: full discover at round {round} failed: {e}"));
-        assert_eq!(
-            unsharded.report().triples,
-            full.triples,
-            "{case_id}: unsharded ≠ full re-discovery at round {round}"
-        );
+fn sharded(case: &'static str, seed: u64) {
+    for (i, shards) in [2, 4].into_iter().enumerate() {
+        let cfg = Config {
+            case,
+            shards,
+            delete: DeletePolicy::Compact,
+            durable: false,
+            ..SCRIPTED
+        };
+        slice(seed + i as u64, cfg, 2, |m| m.churn());
     }
 }
 
 #[test]
 fn tpch_soak_sharded_equals_unsharded_equals_full() {
-    soak("tpch_q2", 0x50AC_0001);
+    sharded("tpch_q2", 0x50AC_0010);
 }
 
 #[test]
 fn mimic_soak_sharded_equals_unsharded_equals_full() {
-    soak("mimic_q_patients_admissions", 0x50AC_0002);
+    sharded("mimic_q_patients_admissions", 0x50AC_0020);
 }
 
 #[test]
 fn ptc_soak_sharded_equals_unsharded_equals_full() {
-    soak("ptc_connected_bond", 0x50AC_0003);
+    sharded("ptc_connected_bond", 0x50AC_0030);
 }
 
 #[test]
 fn pte_soak_sharded_equals_unsharded_equals_full() {
-    soak("pte_atm_drug", 0x50AC_0004);
+    sharded("pte_atm_drug", 0x50AC_0040);
 }

@@ -1,350 +1,49 @@
-//! Randomized tombstone/vacuum churn soak (satellite of the tombstoned
-//! deletes + vacuum PR): ≥20 seeded random delta rounds — mixed
-//! inserts/deletes with a delete-heavy bias, occasional empty batches,
-//! occasionally skipped tables — on one representative view of each of
-//! the four datagen databases, with the sharded engine running
-//! [`DeletePolicy::Tombstone`] at 1, 2, and 4 shards against a
-//! compacting unsharded reference.
-//!
-//! Pins, after **every** round: the tombstone engines' covers, triples,
-//! and per-FD classifications equal the compacting reference's — and the
-//! reference equals full `InFine::discover` re-discovery. Pins, after
-//! **every vacuum** (every `INFINE_VACUUM_EVERY` rounds, default 5):
-//!
-//! * vacuumed fragment relations are **byte-equal** (codes,
-//!   dictionaries, null codes) to a from-scratch rebuild of their live
-//!   rows;
-//! * every fragment engine's cover state survives
-//!   [`MaintenanceEngine::self_check`] — covers equal fresh mines,
-//!   backing PLIs equal rebuilds, witnesses name live violating pairs,
-//!   row maps agree with live counts;
-//! * no dead row remains anywhere.
-//!
-//! A second suite bounds memory: dictionary entries and physical row
-//! counts (rid columns included, via the cover-only view engine) stay
-//! within a constant factor of a freshly bootstrapped engine's across
-//! ≥20 delete-heavy rounds with periodic vacuums.
-//!
-//! Scale via `INFINE_SOAK_SCALE` (default 0.002), rounds via
-//! `INFINE_SOAK_ROUNDS` (default 20), vacuum period via
-//! `INFINE_VACUUM_EVERY` (default 5).
+//! Tombstone and vacuum slices of the service model: a service under
+//! `DeletePolicy::Tombstone` on one view of each datagen database, with
+//! a vacuum every third step. After each vacuum no dead row remains,
+//! every vacuumed relation is byte-equal to a rebuild of its live rows,
+//! `self_check` passes, covers and triples are unchanged, and dictionary
+//! entries and physical rows stay within 3× a fresh engine's
+//! (`model/mod.rs`, invariant 8).
 
-use infine_core::InFine;
-use infine_datagen::{find, random_delta, Scale};
-use infine_discovery::same_fds;
-use infine_incremental::{
-    DeletePolicy, InsertPolicy, MaintenanceEngine, MaintenanceMode, MaintenanceReport,
-    ShardedEngine, ViewMode,
-};
-use infine_relation::{relation_from_rows, Database, DeltaBatch, DeltaRelation, Relation, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+mod model;
 
-const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+use model::*;
 
-fn soak_rounds() -> usize {
-    std::env::var("INFINE_SOAK_ROUNDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20)
-}
-
-fn soak_scale() -> Scale {
-    Scale::of(
-        std::env::var("INFINE_SOAK_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.002),
-    )
-}
-
-fn vacuum_every() -> usize {
-    std::env::var("INFINE_VACUUM_EVERY")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(5)
-}
-
-/// One random round, biased towards deletes (the path this PR fixes):
-/// per base table, usually a mixed batch, sometimes an explicitly empty
-/// batch, sometimes no batch at all.
-fn random_round(rng: &mut StdRng, db: &Database, tables: &[String]) -> Vec<DeltaRelation> {
-    let mut round = Vec::new();
-    for t in tables {
-        match rng.gen_range(0..10u32) {
-            0 => {}
-            1 => round.push(DeltaRelation::new(t.clone(), DeltaBatch::new())),
-            _ => {
-                let rel = db.expect(t);
-                let max = (rel.live_rows() / 15).max(3);
-                let deletes = rng.gen_range(0..=max);
-                let inserts = rng.gen_range(0..=max / 2);
-                round.push(DeltaRelation::new(
-                    t.clone(),
-                    random_delta(rng, rel, deletes, inserts),
-                ));
-            }
-        }
-    }
-    round
-}
-
-/// Byte-equality of a relation against a rebuild from its own live rows
-/// — the compact invariant a vacuum must restore exactly.
-fn assert_rebuild_equal(rel: &Relation, context: &str) {
-    assert!(
-        !rel.has_tombstones(),
-        "{context}: tombstones survived vacuum"
-    );
-    let rows: Vec<Vec<Value>> = (0..rel.nrows()).map(|r| rel.row(r)).collect();
-    let refs: Vec<&[Value]> = rows.iter().map(|r| r.as_slice()).collect();
-    let names: Vec<&str> = (0..rel.ncols()).map(|c| rel.schema.name(c)).collect();
-    let rebuilt = relation_from_rows(&rel.name, &names, &refs);
-    for c in 0..rel.ncols() {
-        assert_eq!(
-            rel.column(c).codes,
-            rebuilt.column(c).codes,
-            "{context}: codes of column {c} diverged from rebuild"
-        );
-        assert_eq!(
-            rel.column(c).dict.as_slice(),
-            rebuilt.column(c).dict.as_slice(),
-            "{context}: dictionary of column {c} diverged from rebuild"
-        );
-        assert_eq!(
-            rel.column(c).null_code,
-            rebuilt.column(c).null_code,
-            "{context}: null code of column {c} diverged from rebuild"
-        );
-    }
-}
-
-fn assert_reports_match(
-    case: &str,
-    shards: usize,
-    round: usize,
-    a: &MaintenanceReport,
-    b: &MaintenanceReport,
-) {
-    assert_eq!(
-        a.triples, b.triples,
-        "{case}: tombstoned sharded({shards}) triples diverged at round {round}"
-    );
-    assert!(
-        same_fds(&a.cover, &b.cover),
-        "{case}: tombstoned sharded({shards}) cover diverged at round {round}"
-    );
-    let classify = |r: &MaintenanceReport| {
-        let mut held: Vec<_> = r
-            .held
-            .iter()
-            .map(|(t, s)| (t.fd, t.kind, t.subquery.clone(), *s))
-            .collect();
-        held.sort();
-        let mut fresh = r.fresh.clone();
-        fresh.sort();
-        (held, fresh)
+fn vacuum(case: &'static str, shards: usize, every: usize, seed: u64) {
+    let cfg = Config {
+        case,
+        shards,
+        durable: false,
+        ..SCRIPTED
     };
-    assert_eq!(
-        classify(a),
-        classify(b),
-        "{case}: tombstoned sharded({shards}) classification diverged at round {round}"
-    );
-}
-
-fn soak(case_id: &str, seed: u64) {
-    let case = find(case_id).unwrap_or_else(|| panic!("unknown case {case_id}"));
-    let db = case.dataset.generate(soak_scale());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let rounds = soak_rounds();
-    let period = vacuum_every();
-
-    let mut reference = MaintenanceEngine::new(InFine::default(), db.clone(), case.spec.clone())
-        .unwrap_or_else(|e| panic!("{case_id}: reference bootstrap failed: {e}"));
-    let mut tombstoned: Vec<ShardedEngine> = SHARD_COUNTS
-        .iter()
-        .map(|&n| {
-            ShardedEngine::with_options(
-                InFine::default(),
-                db.clone(),
-                case.spec.clone(),
-                n,
-                InsertPolicy::default(),
-                DeletePolicy::Tombstone,
-                ViewMode::default(),
-            )
-            .unwrap_or_else(|e| panic!("{case_id}: {n}-shard tombstone bootstrap failed: {e}"))
-        })
-        .collect();
-
-    let tables: Vec<String> = case
-        .spec
-        .base_tables()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    for round in 0..rounds {
-        let deltas = random_round(&mut rng, reference.database(), &tables);
-        let expected = reference
-            .apply(&deltas)
-            .unwrap_or_else(|e| panic!("{case_id}: reference round {round} failed: {e}"));
-        for (&n, eng) in SHARD_COUNTS.iter().zip(tombstoned.iter_mut()) {
-            let report = eng
-                .apply(&deltas)
-                .unwrap_or_else(|e| panic!("{case_id}: {n}-shard round {round} failed: {e}"));
-            assert_reports_match(case_id, n, round, &report, &expected);
-        }
-        // Reference == full re-discovery, every round.
-        let full = InFine::default()
-            .discover(reference.database(), &case.spec)
-            .unwrap_or_else(|e| panic!("{case_id}: full discover at round {round} failed: {e}"));
-        assert_eq!(
-            reference.report().triples,
-            full.triples,
-            "{case_id}: reference ≠ full re-discovery at round {round}"
-        );
-
-        if (round + 1) % period == 0 {
-            for (&n, eng) in SHARD_COUNTS.iter().zip(tombstoned.iter_mut()) {
-                // Fragments that accumulated garbage must come out of the
-                // vacuum byte-equal to a rebuild.
-                let mut dirty: Vec<(usize, String)> = Vec::new();
-                for s in 0..eng.shards() {
-                    for t in &tables {
-                        if eng.shard_database(s).expect(t).has_tombstones() {
-                            dirty.push((s, t.clone()));
-                        }
-                    }
-                }
-                let triples_before = eng.report().triples.clone();
-                eng.vacuum();
-                assert_eq!(
-                    eng.tombstone_stats().dead_rows(),
-                    0,
-                    "{case_id}: {n}-shard vacuum left garbage at round {round}"
-                );
-                for (s, t) in dirty {
-                    assert_rebuild_equal(
-                        eng.shard_database(s).expect(&t),
-                        &format!("{case_id}: {n}-shard round {round} shard {s} table {t}"),
-                    );
-                }
-                // Covers, PLIs, witnesses, row maps: all pinned against
-                // from-scratch rebuilds; answers unchanged.
-                eng.self_check();
-                assert_eq!(
-                    eng.report().triples,
-                    triples_before,
-                    "{case_id}: {n}-shard vacuum changed the report at round {round}"
-                );
-            }
-        }
-    }
+    let coverage = slice(seed, cfg, every, |m| m.vacuum());
+    assert!(coverage.contains_key("delete Tombstone"));
 }
 
 #[test]
 fn tpch_vacuum_soak() {
-    soak("tpch_q2", 0x7AC0_0001);
+    vacuum("tpch_q2", 4, 3, 0x7AC0_0001);
 }
 
 #[test]
 fn mimic_vacuum_soak() {
-    soak("mimic_q_patients_admissions", 0x7AC0_0002);
+    vacuum("mimic_q_patients_admissions", 1, 3, 0x7AC0_0002);
 }
 
 #[test]
 fn ptc_vacuum_soak() {
-    soak("ptc_connected_bond", 0x7AC0_0003);
+    vacuum("ptc_connected_bond", 2, 3, 0x7AC0_0003);
 }
 
 #[test]
 fn pte_vacuum_soak() {
-    soak("pte_atm_drug", 0x7AC0_0004);
+    vacuum("pte_atm_drug", 4, 3, 0x7AC0_0004);
 }
 
-/// Memory stays bounded under sustained delete-heavy churn with periodic
-/// vacuums: physical rows and dictionary entries (rid columns of the
-/// cover-only view included) never exceed a small constant factor of
-/// what a freshly bootstrapped engine on the same live data holds.
+/// Sustained churn with a vacuum every second step: the 3× footprint
+/// bound is checked at each one.
 #[test]
 fn churn_memory_stays_bounded_with_periodic_vacuum() {
-    let case = find("tpch_q2").expect("known case");
-    let db = case.dataset.generate(soak_scale());
-    let mut rng = StdRng::seed_from_u64(0x7AC0_00FF);
-    let rounds = soak_rounds().max(20);
-    let period = vacuum_every();
-
-    let mut engine = MaintenanceEngine::with_options(
-        InFine::default(),
-        db,
-        case.spec.clone(),
-        MaintenanceMode::CoverOnly,
-        DeletePolicy::Tombstone,
-        ViewMode::default(),
-    )
-    .expect("bootstrap");
-    let tables: Vec<String> = case
-        .spec
-        .base_tables()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-
-    let mut peak_factor = 0.0f64;
-    for round in 0..rounds {
-        // Delete-heavy churn: twice as many deletes as inserts.
-        let mut deltas = Vec::new();
-        for t in &tables {
-            let rel = engine.database().expect(t);
-            let max = (rel.live_rows() / 12).max(2);
-            deltas.push(DeltaRelation::new(
-                t.clone(),
-                random_delta(&mut rng, rel, max, max / 2),
-            ));
-        }
-        engine.apply(&deltas).expect("round");
-        if (round + 1) % period == 0 {
-            engine.vacuum();
-            assert_eq!(engine.tombstone_stats().dead_rows(), 0);
-        }
-
-        // Bound: compare against a from-scratch engine over the live
-        // data (the compact footprint) — the factor must stay small
-        // regardless of how much history has flowed through.
-        let current = engine.tombstone_stats();
-        let mut compact_db = Database::new();
-        for t in engine.database().names() {
-            let (v, _) = engine.database().expect(t).clone().vacuum();
-            compact_db.insert(v);
-        }
-        let fresh = MaintenanceEngine::with_options(
-            InFine::default(),
-            compact_db,
-            case.spec.clone(),
-            MaintenanceMode::CoverOnly,
-            DeletePolicy::Tombstone,
-            ViewMode::default(),
-        )
-        .expect("fresh bootstrap")
-        .tombstone_stats();
-        let row_factor = current.physical_rows as f64 / fresh.physical_rows.max(1) as f64;
-        let dict_factor = current.dict_entries as f64 / fresh.dict_entries.max(1) as f64;
-        peak_factor = peak_factor.max(row_factor).max(dict_factor);
-        assert!(
-            row_factor <= 3.0,
-            "round {round}: physical rows grew to {row_factor:.2}x the compact footprint \
-             ({} vs {})",
-            current.physical_rows,
-            fresh.physical_rows
-        );
-        assert!(
-            dict_factor <= 3.0,
-            "round {round}: dictionary entries grew to {dict_factor:.2}x the compact footprint \
-             ({} vs {})",
-            current.dict_entries,
-            fresh.dict_entries
-        );
-    }
-    eprintln!("# churn memory bound: peak factor {peak_factor:.2} across {rounds} rounds");
+    vacuum("tpch_q2", 1, 2, 0x7AC0_00FF);
 }

@@ -16,7 +16,7 @@ pub use infine_partitions as partitions;
 pub use infine_relation as relation;
 
 pub use infine_algebra::{JoinOp, Predicate, ViewSpec};
-pub use infine_core::{FdKind, InFine, InFineConfig, InFineReport, ProvenanceTriple};
+pub use infine_core::{FdKind, InFine, InFineReport, ProvenanceTriple};
 pub use infine_discovery::{Algorithm, Fd, FdSet};
 pub use infine_incremental::{FdStatus, MaintenanceEngine, MaintenanceMode, MaintenanceReport};
 pub use infine_relation::{AttrSet, Database, DeltaBatch, DeltaRelation, Relation, Schema, Value};
