@@ -8,16 +8,19 @@
 //! are complete, that premise is a *free* closure test — candidates
 //! failing it are rejected without touching data.
 //!
-//! The exploration is level-wise per rhs over the mixed lhs universe
-//! (own-side attributes minus the rhs, plus opposite-side non-key
-//! attributes — Algorithm 5 line 12's `A ⊆ atts(I) \ X`), pruned by the
-//! already-known FD antichain, with surviving candidates validated on the
-//! scoped join. The join is computed **only when at least one rhs is
-//! plausible**; when computed, it is handed back to the caller so a
-//! parent node can reuse it instead of re-materializing.
+//! The exploration is the shared level-wise walk
+//! ([`infine_discovery::walk_plan`]) over one plan entry per plausible
+//! rhs. Its lhs universe is mixed: own-side attributes minus the rhs,
+//! plus opposite-side non-key attributes (Algorithm 5 line 12's
+//! `A ⊆ atts(I) \ X`). The walk prunes candidates by the already-known
+//! FD antichain, the join oracle's `admits` applies the Theorem 4 closure
+//! test, and its `holds` validates the survivors on the scoped join. The
+//! join is computed **only when at least one rhs is plausible**; when
+//! computed, it is handed back to the caller so a parent node can reuse
+//! it instead of re-materializing.
 
 use infine_algebra::{join_relations, JoinOp};
-use infine_discovery::{Fd, FdSet};
+use infine_discovery::{walk_plan, Fd, FdSet, Validity};
 use infine_partitions::PliCache;
 use infine_relation::{AttrId, AttrSet, Relation};
 
@@ -113,92 +116,36 @@ pub fn mine_join_fds_with_options(
     // Partial SPJ computation (charged to mineFDs, as in the paper §V).
     let join = join_relations(l_rel, r_rel, op, on, None, None, "mine");
     let partial_rows = join.nrows();
-    let mut cache = PliCache::new(&join);
 
-    let mut fds: Vec<Fd> = Vec::new();
-    let mut found = FdSet::new();
-    let mut pruned_by_theorem4 = 0usize;
-    let mut validated = 0usize;
-
-    // For each rhs, explore the mixed lattice.
-    let mut explore = |b_join: AttrId, own_is_left: bool, own_fds: &FdSet, own_keys: AttrSet| {
-        let to_join = |side_left: bool, id: AttrId| if side_left { id } else { nl + id };
-        let b_own = if own_is_left { b_join } else { b_join - nl };
-        // lhs universe over join ids: own side minus rhs, opposite side
-        // minus the opposite join keys.
-        let own_atts = if own_is_left {
-            l_rel.attr_set()
-        } else {
-            r_rel.attr_set()
-        };
-        let opp_atts = if own_is_left {
-            r_rel.attr_set()
-        } else {
-            l_rel.attr_set()
-        };
-        let opp_keys = if own_is_left { y_set } else { x_set };
-        let universe: AttrSet = own_atts
-            .without(b_own)
-            .iter()
-            .map(|a| to_join(own_is_left, a))
-            .chain(
-                opp_atts
-                    .difference(opp_keys)
-                    .iter()
-                    .map(|a| to_join(!own_is_left, a)),
-            )
-            .collect();
-        // Which join ids belong to the own (rhs's) side?
-        let own_mask: AttrSet = own_atts.iter().map(|a| to_join(own_is_left, a)).collect();
-
-        let mut level: Vec<AttrSet> = universe.iter().map(AttrSet::single).collect();
-        let mut depth = 1usize;
-        while !level.is_empty() && depth < universe.len() + 1 {
-            let mut extendable: Vec<AttrSet> = Vec::new();
-            for &cand in &level {
-                if known.has_subset_lhs(cand, b_join) || found.has_subset_lhs(cand, b_join) {
-                    continue;
-                }
-                // Theorem 4 constraint: own-side part A' must satisfy
-                // b ∈ closure_{D_own}(keys_own ∪ A').
-                let a_prime_own: AttrSet = cand
-                    .intersect(own_mask)
-                    .iter()
-                    .map(|j| if own_is_left { j } else { j - nl })
-                    .collect();
-                if use_theorem4 && !own_fds.closure(own_keys.union(a_prime_own)).contains(b_own) {
-                    pruned_by_theorem4 += 1;
-                    extendable.push(cand);
-                    continue;
-                }
-                validated += 1;
-                if cache.fd_holds(cand, b_join) {
-                    found.insert_minimal(Fd::new(cand, b_join));
-                    fds.push(Fd::new(cand, b_join));
-                } else {
-                    extendable.push(cand);
-                }
-            }
-            let mut next = Vec::new();
-            for &cand in &extendable {
-                let max_attr = cand.iter().last().expect("non-empty");
-                for e in universe.iter() {
-                    if e > max_attr {
-                        next.push(cand.with(e));
-                    }
-                }
-            }
-            level = next;
-            depth += 1;
-        }
+    // One plan entry per plausible rhs, right side first: the lhs universe
+    // over join ids is the rhs's own side minus the rhs, plus the opposite
+    // side minus its join keys.
+    let left_ids = l_rel.attr_set();
+    let right_ids = AttrSet::from_bits(r_rel.attr_set().bits() << nl);
+    let left_non_keys = left_ids.difference(x_set);
+    let right_non_keys = AttrSet::from_bits(r_rel.attr_set().difference(y_set).bits() << nl);
+    let plan: Vec<(AttrId, AttrSet)> = rhs_right
+        .iter()
+        .map(|&b| (nl + b, right_ids.without(nl + b).union(left_non_keys)))
+        .chain(
+            rhs_left
+                .iter()
+                .map(|&b| (b, left_ids.without(b).union(right_non_keys))),
+        )
+        .collect();
+    let mut oracle = JoinOracle {
+        cache: PliCache::new(&join),
+        use_theorem4,
+        nl,
+        dl,
+        dr,
+        x_set,
+        y_set,
+        pruned_by_theorem4: 0,
+        validated: 0,
     };
-
-    for &b in &rhs_right {
-        explore(nl + b, false, dr, y_set);
-    }
-    for &b in &rhs_left {
-        explore(b, true, dl, x_set);
-    }
+    let fds = walk_plan(&mut oracle, &plan, known);
+    let (pruned_by_theorem4, validated) = (oracle.pruned_by_theorem4, oracle.validated);
 
     MineOutcome {
         fds,
@@ -206,6 +153,52 @@ pub fn mine_join_fds_with_options(
         partial_rows,
         pruned_by_theorem4,
         validated,
+    }
+}
+
+/// Validity of mixed candidates on the scoped join, behind the Theorem 4
+/// filter. Forwards no `prefetch`: `mineFDs` validates sequentially.
+struct JoinOracle<'a, 'r> {
+    cache: PliCache<'r>,
+    use_theorem4: bool,
+    /// Join ids below `nl` are left attributes, the rest right ones.
+    nl: usize,
+    dl: &'a FdSet,
+    dr: &'a FdSet,
+    x_set: AttrSet,
+    y_set: AttrSet,
+    pruned_by_theorem4: usize,
+    validated: usize,
+}
+
+impl Validity for JoinOracle<'_, '_> {
+    /// Theorem 4: the own-side part `A'` of the lhs must satisfy
+    /// `b ∈ closure_{D_own}(keys_own ∪ A')`.
+    fn admits(&mut self, lhs: AttrSet, rhs: AttrId) -> bool {
+        if !self.use_theorem4 {
+            return true;
+        }
+        let nl = self.nl;
+        let (own_fds, own_keys, a_prime_own, b_own) = if rhs < nl {
+            (self.dl, self.x_set, lhs.intersect(AttrSet::all(nl)), rhs)
+        } else {
+            (
+                self.dr,
+                self.y_set,
+                AttrSet::from_bits(lhs.bits() >> nl),
+                rhs - nl,
+            )
+        };
+        let admitted = own_fds.closure(own_keys.union(a_prime_own)).contains(b_own);
+        if !admitted {
+            self.pruned_by_theorem4 += 1;
+        }
+        admitted
+    }
+
+    fn holds(&mut self, lhs: AttrSet, rhs: AttrId) -> bool {
+        self.validated += 1;
+        self.cache.check(lhs, rhs)
     }
 }
 

@@ -123,7 +123,7 @@ impl PhaseTimings {
 }
 
 /// Counters reported alongside the result.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Rows of all partial joins materialized by infer/mine.
     pub partial_join_rows: usize,

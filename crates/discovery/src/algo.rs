@@ -1,6 +1,6 @@
-//! The common interface over the four baseline FD-discovery algorithms.
+//! The common interface over the FD-discovery algorithms: the paper's four
+//! baselines (Fig. 3/4) plus the shared level-wise miner.
 
-use crate::depminer::depminer;
 use crate::fastfds::fastfds;
 use crate::fd::FdSet;
 use crate::fun::fun;
@@ -18,9 +18,6 @@ pub enum Algorithm {
     Fun,
     /// FastFDs — difference sets + depth-first minimal covers.
     FastFds,
-    /// DepMiner — maximal agree sets + minimal transversals (related-work
-    /// baseline, not part of the paper's Fig. 3 comparison).
-    DepMiner,
     /// HyFD — hybrid sampling/induction/validation.
     HyFd,
     /// The plain shared level-wise miner (InFine's internal base miner).
@@ -42,7 +39,6 @@ impl Algorithm {
             Algorithm::Tane => "TANE",
             Algorithm::Fun => "FUN",
             Algorithm::FastFds => "FastFDs",
-            Algorithm::DepMiner => "DepMiner",
             Algorithm::HyFd => "HyFD",
             Algorithm::Levelwise => "Levelwise",
         }
@@ -60,7 +56,6 @@ impl Algorithm {
             Algorithm::Tane => tane(rel, attrs),
             Algorithm::Fun => fun(rel, attrs),
             Algorithm::FastFds => fastfds(rel, attrs),
-            Algorithm::DepMiner => depminer(rel, attrs),
             Algorithm::HyFd => hyfd(rel, attrs),
             Algorithm::Levelwise => mine_fds(rel, attrs),
         }
@@ -89,7 +84,6 @@ mod tests {
         for algo in [
             Algorithm::Fun,
             Algorithm::FastFds,
-            Algorithm::DepMiner,
             Algorithm::HyFd,
             Algorithm::Levelwise,
         ] {

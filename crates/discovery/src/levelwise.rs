@@ -1,16 +1,25 @@
 //! Generic level-wise (lattice) FD mining.
 //!
-//! This is the machinery behind the paper's Algorithms 2 and 3: explore
-//! candidate lhs sets per rhs attribute bottom-up, prune candidates whose
-//! lhs has a valid subset (in the already-discovered output `Dout` *or* in
-//! the externally-known FD set `DV` — lines 8–9 of Algorithm 2), validate
-//! with stripped partitions, and stop when a level generates nothing.
+//! One bottom-up walk, [`walk_plan`], serves the paper's Algorithms 2, 3
+//! and 5 (selection upstage, join upstage and `mineFDs`) as well as plain
+//! base-table mining. Its input is a *plan*: a list of `(rhs,
+//! lhs_universe)` pairs. For each pair it explores candidate lhs sets
+//! drawn from `lhs_universe` level by level, prunes every candidate whose
+//! lhs has a valid subset (in the output so far *or* in the
+//! externally-known FD set `DV` — lines 8–9 of Algorithm 2), asks the
+//! oracle's [`Validity::admits`] filter, validates the admitted survivors
+//! with [`Validity::holds`], and extends every candidate that was refused
+//! or failed. A rhs is done when a level generates nothing.
 //!
-//! The same code doubles as the plain miner used by InFine step 1 on base
-//! tables (empty `known` set) and as the approximate-FD miner (`g3`
-//! validity) used to surface AFDs that later become exact on views.
+//! [`mine_new_fds_via`] plans one entry per non-constant attribute over
+//! the same attribute set (its level 0 reports the constants); with an
+//! empty `known` set it is a complete minimal-FD miner, and with `g3`
+//! validity it surfaces the approximate FDs that later become exact on
+//! views. `mineFDs` plans mixed lhs universes across a join and uses
+//! `admits` for the Theorem 4 closure test.
 
 use crate::fd::{Fd, FdSet};
+use crate::obs::MinerObs;
 use infine_partitions::PliCache;
 use infine_relation::{AttrId, AttrSet, Relation};
 
@@ -37,6 +46,14 @@ pub fn constant_attrs(rel: &Relation, attrs: AttrSet) -> AttrSet {
 pub trait Validity {
     /// Does `lhs → rhs` hold (for this oracle's notion of "hold")?
     fn holds(&mut self, lhs: AttrSet, rhs: AttrId) -> bool;
+
+    /// Candidate filter asked before [`Validity::holds`]: a refused
+    /// candidate is neither validated nor reported, only extended, just
+    /// like an invalid one. It must refuse only candidates that cannot
+    /// hold (e.g. `mineFDs`' Theorem 4 test); the default admits all.
+    fn admits(&mut self, _lhs: AttrSet, _rhs: AttrId) -> bool {
+        true
+    }
 
     /// Hint that every listed candidate is about to be checked. Oracles
     /// backed by a [`PliCache`] compute the partitions those checks will
@@ -88,16 +105,13 @@ impl Validity for ApproxValidity<'_, '_> {
 /// with the same rhs exists in `known` or in the output so far — exactly
 /// the pruning of Algorithm 2 lines 8–9. With an empty `known` this is a
 /// complete minimal-FD miner.
-///
-/// `max_lhs` caps the explored lhs size (defaults to `attrs.len() - 1`).
 pub fn mine_new_fds_with<V: Validity>(
     validity: &mut V,
     rel: &Relation,
     attrs: AttrSet,
     known: &FdSet,
-    max_lhs: Option<usize>,
 ) -> FdSet {
-    mine_new_fds_via(validity, constant_attrs(rel, attrs), attrs, known, max_lhs)
+    mine_new_fds_via(validity, constant_attrs(rel, attrs), attrs, known)
 }
 
 /// [`mine_new_fds_with`] with the level-0 constant set supplied by the
@@ -111,15 +125,13 @@ pub fn mine_new_fds_via<V: Validity>(
     constants: AttrSet,
     attrs: AttrSet,
     known: &FdSet,
-    max_lhs: Option<usize>,
 ) -> FdSet {
-    let obs = crate::obs::MinerObs::resolve("Levelwise");
+    let obs = MinerObs::resolve("Levelwise");
     let _span = obs.start();
     let mut found = FdSet::new();
     if attrs.is_empty() {
         return found;
     }
-    let max_lhs = max_lhs.unwrap_or_else(|| attrs.len().saturating_sub(1));
 
     // Level 0: constant attributes.
     for a in constants.iter() {
@@ -128,38 +140,77 @@ pub fn mine_new_fds_via<V: Validity>(
         }
     }
     let universe = attrs.difference(constants);
+    let plan: Vec<(AttrId, AttrSet)> = universe
+        .iter()
+        .map(|rhs| (rhs, universe.without(rhs)))
+        .collect();
+    for fd in walk(validity, &plan, known, Some(&obs)) {
+        found.insert_minimal(fd);
+    }
+    found
+}
 
-    for rhs in universe.iter() {
+/// The shared level-wise walk: for each `(rhs, lhs_universe)` of `plan`,
+/// in order, the minimal lhs sets drawn from `lhs_universe` for which
+/// `validity` admits and holds `lhs → rhs`, skipping every lhs with a
+/// subset-lhs FD in `known` or among the FDs found so far. Returns the
+/// FDs in discovery order. A rhs with `∅ → rhs` in `known` is skipped.
+/// Each rhs appears at most once in `plan`: only FDs found for the same
+/// entry prune its candidates.
+pub fn walk_plan<V: Validity>(
+    validity: &mut V,
+    plan: &[(AttrId, AttrSet)],
+    known: &FdSet,
+) -> Vec<Fd> {
+    walk(validity, plan, known, None)
+}
+
+/// [`walk_plan`], recording each level's wall time when `obs` is given.
+fn walk<V: Validity>(
+    validity: &mut V,
+    plan: &[(AttrId, AttrSet)],
+    known: &FdSet,
+    obs: Option<&MinerObs>,
+) -> Vec<Fd> {
+    let mut out = Vec::new();
+    for &(rhs, lhs_universe) in plan {
         if known.has_subset_lhs(AttrSet::EMPTY, rhs) {
             continue; // ∅ → rhs already known
         }
-        let lhs_universe = universe.without(rhs);
+        // Lhs sets found for this rhs: the only ones that can prune it.
+        let mut found: Vec<AttrSet> = Vec::new();
         // Level 1 candidates.
         let mut level: Vec<AttrSet> = lhs_universe.iter().map(AttrSet::single).collect();
-        let mut depth = 1usize;
         let mut level_t0 = std::time::Instant::now();
-        while !level.is_empty() && depth <= max_lhs {
+        while !level.is_empty() {
             // The subset-pruning outcome is fixed before any validation of
             // this level runs: an FD found *at* this level has a lhs of the
             // same size as every candidate, so it can only "prune" the
             // identical candidate (which is never revisited). Settling the
-            // survivor list up front is therefore behavior-preserving, and
-            // lets the oracle prefetch the whole level's partitions in one
-            // parallel batch.
-            let survivors: Vec<AttrSet> = level
+            // survivor list (and each survivor's `admits` verdict) up
+            // front is therefore behavior-preserving, and lets the oracle
+            // prefetch the whole level's partitions in one parallel batch.
+            let survivors: Vec<(AttrSet, bool)> = level
                 .iter()
                 .copied()
-                .filter(|&lhs| !known.has_subset_lhs(lhs, rhs) && !found.has_subset_lhs(lhs, rhs))
+                .filter(|&lhs| {
+                    !known.has_subset_lhs(lhs, rhs) && !found.iter().any(|&x| x.is_subset(lhs))
+                })
+                .map(|lhs| (lhs, validity.admits(lhs, rhs)))
                 .collect();
             if !infine_exec::sequential() {
-                let candidates: Vec<(AttrSet, AttrId)> =
-                    survivors.iter().map(|&lhs| (lhs, rhs)).collect();
+                let candidates: Vec<(AttrSet, AttrId)> = survivors
+                    .iter()
+                    .filter(|&&(_, admitted)| admitted)
+                    .map(|&(lhs, _)| (lhs, rhs))
+                    .collect();
                 validity.prefetch(&candidates);
             }
             let mut extendable: Vec<AttrSet> = Vec::new();
-            for &lhs in &survivors {
-                if validity.holds(lhs, rhs) {
-                    found.insert_minimal(Fd::new(lhs, rhs));
+            for &(lhs, admitted) in &survivors {
+                if admitted && validity.holds(lhs, rhs) {
+                    found.push(lhs);
+                    out.push(Fd::new(lhs, rhs));
                 } else {
                     extendable.push(lhs);
                 }
@@ -177,11 +228,12 @@ pub fn mine_new_fds_via<V: Validity>(
                 }
             }
             level = next;
-            depth += 1;
-            level_t0 = obs.level_done(level_t0);
+            if let Some(obs) = obs {
+                level_t0 = obs.level_done(level_t0);
+            }
         }
     }
-    found
+    out
 }
 
 /// Seeded upward lattice walk: find the minimal valid strict supersets of
@@ -244,7 +296,7 @@ pub fn extend_seeds<V: Validity>(
 pub fn mine_new_fds(rel: &Relation, attrs: AttrSet, known: &FdSet) -> FdSet {
     let mut cache = PliCache::with_attrs(rel, attrs);
     let mut v = ExactValidity(&mut cache);
-    mine_new_fds_with(&mut v, rel, attrs, known, None)
+    mine_new_fds_with(&mut v, rel, attrs, known)
 }
 
 /// All minimal exact FDs over `attrs` (empty `known` set).
@@ -260,7 +312,7 @@ pub fn mine_afds(rel: &Relation, attrs: AttrSet, epsilon: f64) -> FdSet {
         cache: &mut cache,
         epsilon,
     };
-    mine_new_fds_with(&mut v, rel, attrs, &FdSet::new(), None)
+    mine_new_fds_with(&mut v, rel, attrs, &FdSet::new())
 }
 
 /// Reference oracle: brute-force minimal FD discovery by pairwise row
@@ -412,16 +464,5 @@ mod tests {
         assert!(fds.contains(&Fd::new(AttrSet::EMPTY, 0)));
         assert!(fds.contains(&Fd::new(AttrSet::EMPTY, 1)));
         assert_eq!(fds.len(), 2);
-    }
-
-    #[test]
-    fn max_lhs_caps_exploration() {
-        let r = rel();
-        let mut cache = infine_partitions::PliCache::new(&r);
-        let mut v = ExactValidity(&mut cache);
-        let fds = mine_new_fds_with(&mut v, &r, r.attr_set(), &FdSet::new(), Some(1));
-        for fd in fds.iter() {
-            assert!(fd.lhs.len() <= 1);
-        }
     }
 }

@@ -8,7 +8,7 @@
 //!   recorded by a span guard;
 //! * `infine_miner_level_seconds{algo}` — wall time of each lattice
 //!   level (level-wise miners), validation round (HyFD), or phase
-//!   (FastFDs / DepMiner, which have no lattice levels).
+//!   (FastFDs, which has no lattice levels).
 
 use std::time::Instant;
 

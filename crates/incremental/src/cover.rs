@@ -220,7 +220,7 @@ impl CoverState {
                 hits: 0,
                 misses: 0,
             };
-            let surfaced = mine_new_fds_with(&mut validity, new_rel, self.attrs, &fds, None);
+            let surfaced = mine_new_fds_with(&mut validity, new_rel, self.attrs, &fds);
             stats.witness_hits += validity.hits;
             stats.witness_misses += validity.misses;
             stats.surfaced = surfaced.len();

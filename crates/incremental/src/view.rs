@@ -1254,7 +1254,7 @@ impl VirtualView {
         let known = FdSet::new();
         let mut validity = VirtualValidity::new(self);
         let constants = self.constant_cols(&mut validity, &known);
-        mine_new_fds_via(&mut validity, constants, attrs, &known, None)
+        mine_new_fds_via(&mut validity, constants, attrs, &known)
     }
 
     /// Visible columns constant over the current view rows (`∅ → a`).
@@ -1305,7 +1305,7 @@ impl VirtualView {
         }
         if had_deletes {
             let constants = self.constant_cols(&mut validity, &fds);
-            let surfaced = mine_new_fds_via(&mut validity, constants, attrs, &fds, None);
+            let surfaced = mine_new_fds_via(&mut validity, constants, attrs, &fds);
             stats.surfaced = surfaced.len();
             fds.extend_minimal(&surfaced);
         }

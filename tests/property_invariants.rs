@@ -3,10 +3,9 @@
 //! InFine pipeline against the brute-force oracle on random instances.
 
 use infine_algebra::{execute, JoinOp, ViewSpec};
-use infine_core::{all_hold, InFine};
+use infine_core::{all_hold, mine_join_fds_with_options, side_instance, InFine};
 use infine_discovery::{
-    depminer, fastfds, fun, hyfd, mine_afds, mine_fds, mine_fds_bruteforce, same_fds, tane, Fd,
-    FdSet,
+    fastfds, fun, hyfd, mine_afds, mine_fds, mine_fds_bruteforce, same_fds, tane, Fd, FdSet,
 };
 use infine_partitions::{fd_holds, fd_holds_bruteforce, Pli, PliCache};
 use infine_relation::{relation_from_rows, AttrSet, Database, Relation, Value};
@@ -47,7 +46,6 @@ proptest! {
             ("tane", tane(&rel, attrs)),
             ("fun", fun(&rel, attrs)),
             ("fastfds", fastfds(&rel, attrs)),
-            ("depminer", depminer(&rel, attrs)),
             ("hyfd", hyfd(&rel, attrs)),
             ("levelwise", mine_fds(&rel, attrs)),
         ] {
@@ -215,6 +213,32 @@ proptest! {
             infds.equivalent(&oracle),
             "completeness violated:\nInFine {:?}\noracle {:?}",
             infds.to_sorted_vec(), oracle.to_sorted_vec()
+        );
+    }
+
+    #[test]
+    fn theorem4_pruning_never_changes_mined_fds(l in arb_relation(), r in arb_relation()) {
+        // mineFDs' inputs as the pipeline builds them for `l ⋈ r` on c0:
+        // the complete FD sets of both side instances.
+        let on = [(0, 0)];
+        let side_fds = |left| {
+            let si = side_instance(&l, &r, &on, JoinOp::Inner, left);
+            mine_fds(&si.rel, si.rel.attr_set())
+        };
+        let (dl, dr) = (side_fds(true), side_fds(false));
+        let mine = |use_theorem4| {
+            mine_join_fds_with_options(
+                &l, &r, JoinOp::Inner, &on, &dl, &dr, &FdSet::new(), None, use_theorem4,
+            )
+        };
+        let (with, without) = (mine(true), mine(false));
+        // A refused candidate cannot hold, so it is extended either way:
+        // both runs walk the same lattice.
+        prop_assert_eq!(without.pruned_by_theorem4, 0);
+        prop_assert_eq!(without.validated, with.validated + with.pruned_by_theorem4);
+        prop_assert!(
+            same_fds(&FdSet::from_fds(with.fds.iter().copied()), &FdSet::from_fds(without.fds)),
+            "Theorem 4 pruning changed the mined FDs"
         );
     }
 
